@@ -51,7 +51,7 @@ let compute_idoms (flow : Flow.t) =
       rpo;
     !changed
   in
-  ignore (Fix.iterate step);
+  ignore (Fix.iterate ~analysis:"Dominance.compute" step);
   idom
 
 let compute flow =
@@ -158,5 +158,5 @@ let naive_dominators (flow : Flow.t) =
     done;
     !changed
   in
-  ignore (Fix.iterate step);
+  ignore (Fix.iterate ~analysis:"Dominance.naive_dominators" step);
   doms

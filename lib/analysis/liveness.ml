@@ -50,7 +50,7 @@ let compute cfg =
       (List.rev (Cfg.layout cfg));
     !changed
   in
-  ignore (Fix.iterate step);
+  ignore (Fix.iterate ~analysis:"Liveness.compute" step);
   { live_in; live_out }
 
 let live_in t id = t.live_in.(id)

@@ -13,8 +13,8 @@ let equal_site a b =
   | External, External -> true
   | Def _, External | External, Def _ -> false
 
-(* Sites are interned to dense indices so the dataflow runs on integer
-   sets. [Reg.hash] is injective, so it serves as a register key. *)
+(* Sites are interned to dense indices so the dataflow runs on
+   bit-vectors. [Reg.hash] is injective, so it serves as a register key. *)
 type t = {
   use_chains : (int * int, site list) Hashtbl.t;  (* (uid, reg key) -> sites *)
   def_chains : (int * int, int list) Hashtbl.t;   (* (uid, reg key) -> use uids *)
@@ -23,7 +23,6 @@ type t = {
 let reg_key r = Reg.hash r
 
 let compute cfg =
-  let open Ints in
   (* 1. Enumerate definition sites. *)
   let site_of = Hashtbl.create 64 in (* (sitekind, regkey) -> index *)
   let sites = Vec.create () in       (* index -> (site, reg) *)
@@ -56,21 +55,30 @@ let compute cfg =
             (Instr.defs i))
         (Block.instrs b))
     cfg;
-  let external_sites =
+  let external_idx =
     Reg.Set.fold
       (fun r acc ->
         let idx = intern External r in
         note_reg_site r idx;
-        Int_set.add idx acc)
-      !all_regs Int_set.empty
+        idx :: acc)
+      !all_regs []
   in
+  let nsites = Vec.length sites in
+  let external_sites = Bitv.create nsites in
+  List.iter (Bitv.add external_sites) external_idx;
   let indices_of_reg r =
     Option.value ~default:[] (Hashtbl.find_opt sites_of_reg (reg_key r))
   in
+  (* A definition of [r] at site [own] removes every other site of [r]
+     from [live] and adds [own]. *)
+  let define live r own =
+    List.iter (Bitv.remove live) (indices_of_reg r);
+    Bitv.add live own
+  in
   (* 2. gen/kill per block. *)
   let n = Cfg.num_blocks cfg in
-  let gen = Array.make n Int_set.empty in
-  let kill = Array.make n Int_set.empty in
+  let gen = Array.init n (fun _ -> Bitv.create nsites) in
+  let kill = Array.init n (fun _ -> Bitv.create nsites) in
   for id = 0 to n - 1 do
     let b = Cfg.block cfg id in
     List.iter
@@ -78,43 +86,43 @@ let compute cfg =
         List.iter
           (fun r ->
             let own = intern (Def (Instr.uid i)) r in
-            let others =
-              List.filter (fun s -> s <> own) (indices_of_reg r)
-            in
-            gen.(id) <-
-              Int_set.add own
-                (List.fold_left (fun g s -> Int_set.remove s g) gen.(id) others);
-            kill.(id) <-
-              List.fold_left (fun k s -> Int_set.add s k) kill.(id) others)
+            define gen.(id) r own;
+            List.iter
+              (fun s -> if s <> own then Bitv.add kill.(id) s)
+              (indices_of_reg r))
           (Instr.defs i))
       (Block.instrs b)
   done;
-  (* 3. Forward dataflow. *)
-  let in_ = Array.make n Int_set.empty in
-  let out = Array.make n Int_set.empty in
+  (* 3. Forward dataflow over the layout. The equations are monotone, so
+     any visit order reaches the same least fixpoint; every laid-out
+     block is visited once, then again only when a predecessor's out
+     set changes. Blocks outside the layout keep empty sets. *)
+  let in_ = Array.init n (fun _ -> Bitv.create nsites) in
+  let out = Array.init n (fun _ -> Bitv.create nsites) in
   let preds = Cfg.predecessors cfg in
   let entry = Cfg.entry cfg in
-  let step () =
-    let changed = ref false in
-    List.iter
-      (fun id ->
-        let inn =
-          List.fold_left
-            (fun acc p -> Int_set.union acc out.(p))
-            (if id = entry then external_sites else Int_set.empty)
-            preds.(id)
-        in
-        let o = Int_set.union gen.(id) (Int_set.diff inn kill.(id)) in
-        if not (Int_set.equal inn in_.(id)) || not (Int_set.equal o out.(id))
-        then begin
-          in_.(id) <- inn;
-          out.(id) <- o;
-          changed := true
-        end)
-      (Cfg.layout cfg);
-    !changed
+  let layout = Array.of_list (Cfg.layout cfg) in
+  let width = Array.length layout in
+  let pos = Array.make n (-1) in
+  Array.iteri (fun p id -> pos.(id) <- p) layout;
+  let wl = Fix.Worklist.create n in
+  Array.iteri (fun p id -> Fix.Worklist.add wl ~key:p id) layout;
+  let visit ~key id =
+    let inn = in_.(id) in
+    Bitv.clear inn;
+    if id = entry then Bitv.union_into ~dst:inn external_sites;
+    List.iter (fun p -> Bitv.union_into ~dst:inn out.(p)) preds.(id);
+    if Bitv.flow_into ~dst:out.(id) ~gen:gen.(id) ~kill:kill.(id) inn then
+      List.iter
+        (fun (s, _) ->
+          if pos.(s) >= 0 then
+            Fix.Worklist.add wl ~key:(Fix.Worklist.sweep_key ~width ~key pos.(s)) s)
+        (Cfg.successors cfg id)
   in
-  ignore (Fix.iterate step);
+  ignore
+    (Fix.Worklist.drain wl ~analysis:"Reaching.compute"
+       ~max_visits:(4 * (width + 1) * (nsites + 2))
+       visit);
   (* 4. Walk each block once more to record use-def / def-use chains. *)
   let use_chains = Hashtbl.create 64 in
   let def_chains = Hashtbl.create 64 in
@@ -126,13 +134,13 @@ let compute cfg =
   in
   for id = 0 to n - 1 do
     let b = Cfg.block cfg id in
-    let running = ref in_.(id) in
+    let running = Bitv.copy in_.(id) in
     List.iter
       (fun i ->
         List.iter
           (fun r ->
             let reaching =
-              List.filter (fun s -> Int_set.mem s !running) (indices_of_reg r)
+              List.filter (Bitv.mem running) (indices_of_reg r)
               |> List.map (fun s -> fst (Vec.get sites s))
             in
             Hashtbl.replace use_chains (Instr.uid i, reg_key r) reaching;
@@ -143,13 +151,7 @@ let compute cfg =
               reaching)
           (Instr.uses i);
         List.iter
-          (fun r ->
-            let own = intern (Def (Instr.uid i)) r in
-            running :=
-              Int_set.add own
-                (List.fold_left
-                   (fun acc s -> Int_set.remove s acc)
-                   !running (indices_of_reg r)))
+          (fun r -> define running r (intern (Def (Instr.uid i)) r))
           (Instr.defs i))
       (Block.instrs b)
   done;

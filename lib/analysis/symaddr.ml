@@ -31,27 +31,6 @@ let equal_value a b =
   | Top, Top -> true
   | (Const _ | Sym _ | Top), _ -> false
 
-(* Environments map register keys to values. A register absent from the
-   map reads as [Top] — only unreachable blocks ever hit that case,
-   because the entry environment seeds every register of the procedure
-   with its own entry origin. *)
-type env = value Ints.Int_map.t
-
-let lookup env r =
-  Option.value ~default:Top (Ints.Int_map.find_opt (Reg.hash r) env)
-
-let join_value a b = if equal_value a b then a else Top
-
-let join_env (a : env) (b : env) : env =
-  Ints.Int_map.merge
-    (fun _ va vb ->
-      match va, vb with
-      | Some x, Some y -> Some (join_value x y)
-      | Some _, None | None, Some _ | None, None -> Some Top)
-    a b
-
-let equal_env (a : env) (b : env) = Ints.Int_map.equal equal_value a b
-
 (* Affine shift; [None] when the input is [Top] (the caller then starts
    a fresh origin, which is always a sound description of a def). *)
 let shift v k =
@@ -62,140 +41,201 @@ let shift v k =
 
 let fresh uid (r : Reg.t) = Sym { origin = { o_uid = uid; o_reg = Reg.hash r }; offset = 0 }
 
-let set env (r : Reg.t) v = Ints.Int_map.add (Reg.hash r) v env
+(* The address slice: every register whose value can flow into the base
+   of a [Load]/[Store] — the flow-insensitive backward closure from each
+   base through [Move] sources and the register operands of [Add]/[Sub].
+   Every other definition of a slice register starts a fresh origin that
+   depends only on its uid, so no value outside the slice ever reaches a
+   register inside it, and environments restricted to the slice compute
+   exactly the base values the unrestricted analysis computes.
 
-(* Transfer of one instruction. [record] is called with the base value
-   of a load/store before the [update] post-increment — the simulator
-   computes the effective address from the old base, then writes the
-   destination, then updates the base (so on [LU rT,rT] the update
-   wins, mirrored by the [set] order below). *)
-let transfer ~record env i =
-  let uid = Instr.uid i in
-  let opaque env r = set env r (fresh uid r) in
-  match Instr.kind i with
-  | Instr.Load_imm { dst; value } -> set env dst (Const value)
-  | Instr.Move { dst; src } -> (
-      match lookup env src with
-      | Top -> opaque env dst
-      | v -> set env dst v)
-  | Instr.Binop { op; dst; lhs; rhs } -> (
-      let affine =
-        match op, rhs with
-        | Instr.Add, Instr.Imm k -> shift (lookup env lhs) k
-        | Instr.Sub, Instr.Imm k -> shift (lookup env lhs) (-k)
-        | Instr.Add, Instr.Reg r -> (
-            match lookup env lhs, lookup env r with
-            | Const a, Const b -> Some (Const (a + b))
-            | vl, Const k -> shift vl k
-            | Const k, vr -> shift vr k
-            | (Sym _ | Top), (Sym _ | Top) -> None)
-        | Instr.Sub, Instr.Reg r -> (
-            match lookup env lhs, lookup env r with
-            | Const a, Const b -> Some (Const (a - b))
-            | vl, Const k -> shift vl (-k)
-            | (Const _ | Sym _ | Top), (Sym _ | Top) -> None)
-        | ( ( Instr.Mul | Instr.Div | Instr.Rem | Instr.And | Instr.Or
-            | Instr.Xor | Instr.Shl | Instr.Shr ),
-            _ ) ->
-            None
-      in
-      match affine with Some v -> set env dst v | None -> opaque env dst)
-  | Instr.Load { dst; base; offset; update } ->
-      let bv = lookup env base in
-      record uid bv;
-      let env = opaque env dst in
-      if update then
-        set env base
-          (Option.value ~default:(fresh uid base) (shift bv offset))
-      else env
-  | Instr.Store { src = _; base; offset; update } ->
-      let bv = lookup env base in
-      record uid bv;
-      if update then
-        set env base
-          (Option.value ~default:(fresh uid base) (shift bv offset))
-      else env
-  | Instr.Compare _ | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _ ->
-      List.fold_left opaque env (Instr.defs i)
-  | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> env
+   Returns [slot] — [slot.(Reg.hash r)] is [r]'s environment index, -1
+   outside the slice (hashes past the end are outside too) — and the
+   slice registers' hashes by index. *)
+let address_slice code =
+  let sources = Hashtbl.create 64 in
+  let bases = ref [] in
+  let feeds dst src = Hashtbl.add sources (Reg.hash dst) (Reg.hash src) in
+  Array.iter
+    (List.iter (fun i ->
+         match Instr.kind i with
+         | Instr.Load { base; _ } | Instr.Store { base; _ } ->
+             bases := Reg.hash base :: !bases
+         | Instr.Move { dst; src } -> feeds dst src
+         | Instr.Binop { op = Instr.Add | Instr.Sub; dst; lhs; rhs } -> (
+             feeds dst lhs;
+             match rhs with Instr.Reg r -> feeds dst r | Instr.Imm _ -> ())
+         | Instr.Binop _ | Instr.Load_imm _ | Instr.Fbinop _ | Instr.Compare _
+         | Instr.Fcompare _ | Instr.Branch_cond _ | Instr.Jump _ | Instr.Call _
+         | Instr.Halt ->
+             ()))
+    code;
+  let members = Hashtbl.create 64 in
+  let order = Vec.create () in
+  let rec reach h =
+    if not (Hashtbl.mem members h) then begin
+      Hashtbl.add members h ();
+      Vec.push order h;
+      List.iter reach (Hashtbl.find_all sources h)
+    end
+  in
+  List.iter reach !bases;
+  let regs = Vec.to_array order in
+  let slot = Array.make (Array.fold_left max (-1) regs + 1) (-1) in
+  Array.iteri (fun s h -> slot.(h) <- s) regs;
+  (slot, regs)
 
 type t = { base_values : (int, value) Hashtbl.t }
 
 let compute cfg =
-  let n = Cfg.num_blocks cfg in
-  (* Entry environment: every register of the procedure starts at its
+  let layout = Array.of_list (Cfg.layout cfg) in
+  let width = Array.length layout in
+  let code = Array.map (fun id -> Block.instrs (Cfg.block cfg id)) layout in
+  let slot, regs = address_slice code in
+  let slot_of r =
+    let h = Reg.hash r in
+    if h < Array.length slot then slot.(h) else -1
+  in
+  (* Slice registers only: every read below is of a base or of a source
+     of a slice definition, both inside the slice by construction. *)
+  let get env r = env.(slot_of r) in
+  let def env r v =
+    let s = slot_of r in
+    if s >= 0 then env.(s) <- v
+  in
+  let opaque env uid r = if slot_of r >= 0 then def env r (fresh uid r) in
+  (* Transfer of one instruction, mutating [env]. [record] is called
+     with the base value of a load/store before the [update]
+     post-increment — the simulator computes the effective address from
+     the old base, then writes the destination, then updates the base
+     (so on [LU rT,rT] the update wins, mirrored by the order below). *)
+  let transfer ~record env i =
+    let uid = Instr.uid i in
+    match Instr.kind i with
+    | Instr.Load_imm { dst; value } -> def env dst (Const value)
+    | Instr.Move { dst; src } ->
+        if slot_of dst >= 0 then
+          def env dst (match get env src with Top -> fresh uid dst | v -> v)
+    | Instr.Binop { op; dst; lhs; rhs } ->
+        if slot_of dst >= 0 then begin
+          let affine =
+            match op, rhs with
+            | Instr.Add, Instr.Imm k -> shift (get env lhs) k
+            | Instr.Sub, Instr.Imm k -> shift (get env lhs) (-k)
+            | Instr.Add, Instr.Reg r -> (
+                match get env lhs, get env r with
+                | Const a, Const b -> Some (Const (a + b))
+                | vl, Const k -> shift vl k
+                | Const k, vr -> shift vr k
+                | (Sym _ | Top), (Sym _ | Top) -> None)
+            | Instr.Sub, Instr.Reg r -> (
+                match get env lhs, get env r with
+                | Const a, Const b -> Some (Const (a - b))
+                | vl, Const k -> shift vl (-k)
+                | (Const _ | Sym _ | Top), (Sym _ | Top) -> None)
+            | ( ( Instr.Mul | Instr.Div | Instr.Rem | Instr.And | Instr.Or
+                | Instr.Xor | Instr.Shl | Instr.Shr ),
+                _ ) ->
+                None
+          in
+          def env dst (Option.value ~default:(fresh uid dst) affine)
+        end
+    | Instr.Load { dst; base; offset; update } ->
+        let bv = get env base in
+        record uid bv;
+        opaque env uid dst;
+        if update then
+          def env base (Option.value ~default:(fresh uid base) (shift bv offset))
+    | Instr.Store { src = _; base; offset; update } ->
+        let bv = get env base in
+        record uid bv;
+        if update then
+          def env base (Option.value ~default:(fresh uid base) (shift bv offset))
+    | Instr.Compare _ | Instr.Fcompare _ | Instr.Fbinop _ | Instr.Call _ ->
+        List.iter (opaque env uid) (Instr.defs i)
+    | Instr.Branch_cond _ | Instr.Jump _ | Instr.Halt -> ()
+  in
+  let run ~record env p =
+    let env = Array.copy env in
+    List.iter (transfer ~record env) code.(p);
+    env
+  in
+  (* Block-entry environments to fixpoint, indexed by layout position:
+     [None] is bottom (block not yet reached), the neutral element of
+     the join. The entry environment starts every slice register at its
      own entry origin, so a merge of "defined in the loop" with "still
      the entry value" joins two different origins to [Top] instead of
      spuriously claiming them equal. *)
   let entry_env =
-    Cfg.fold_blocks
-      (fun acc b ->
-        List.fold_left
-          (fun acc i ->
-            List.fold_left
-              (fun acc r ->
-                set acc r (Sym { origin = { o_uid = -1; o_reg = Reg.hash r }; offset = 0 }))
-              acc
-              (Instr.defs i @ Instr.uses i))
-          acc (Block.instrs b))
-      Ints.Int_map.empty cfg
+    Array.map (fun h -> Sym { origin = { o_uid = -1; o_reg = h }; offset = 0 }) regs
   in
-  (* Block-entry environments to fixpoint: [None] is bottom (block not
-     yet reached), the neutral element of the join. Each (block,
-     register) entry moves at most bottom -> value -> Top, so the
-     iteration terminates quickly. *)
-  let in_ : env option array = Array.make n None in
-  let out : env option array = Array.make n None in
+  let in_ : value array option array = Array.make width None in
+  let out : value array option array = Array.make width None in
+  let pos = Array.make (Cfg.num_blocks cfg) (-1) in
+  Array.iteri (fun p id -> pos.(id) <- p) layout;
   let preds = Cfg.predecessors cfg in
   let entry = Cfg.entry cfg in
   let no_record _ _ = () in
-  let step () =
-    let changed = ref false in
-    List.iter
-      (fun id ->
-        let inn =
-          List.fold_left
-            (fun acc p ->
-              match acc, out.(p) with
-              | None, o -> o
-              | o, None -> o
-              | Some a, Some b -> Some (join_env a b))
-            (if id = entry then Some entry_env else None)
-            preds.(id)
-        in
-        match inn with
-        | None -> ()
-        | Some inn ->
-            let stale =
-              match in_.(id) with
-              | None -> true
-              | Some old -> not (equal_env old inn)
-            in
-            if stale then begin
-              in_.(id) <- Some inn;
-              let o =
-                List.fold_left (transfer ~record:no_record) inn
-                  (Block.instrs (Cfg.block cfg id))
-              in
-              out.(id) <- Some o;
-              changed := true
-            end)
-      (Cfg.layout cfg);
-    !changed
+  let join acc env =
+    match acc with
+    | None -> Some (Array.copy env)
+    | Some a ->
+        Array.iteri (fun s v -> if not (equal_value a.(s) v) then a.(s) <- Top) env;
+        acc
   in
-  ignore (Fix.iterate step);
+  let same a b = Array.for_all2 equal_value a b in
+  (* An opaque definition of a register whose input went to [Top]
+     starts a fresh origin rather than going to [Top] itself, so the
+     transfer is not monotone and the fixpoint reached may depend on
+     the visit order. The worklist's sweep keys keep the order of
+     repeated layout sweeps, only skipping blocks none of whose
+     predecessors changed since their last visit. *)
+  let wl = Fix.Worklist.create width in
+  if pos.(entry) >= 0 then Fix.Worklist.add wl ~key:pos.(entry) pos.(entry);
+  let visit ~key p =
+    let id = layout.(p) in
+    let inn =
+      List.fold_left
+        (fun acc q ->
+          if pos.(q) < 0 then acc
+          else match out.(pos.(q)) with None -> acc | Some o -> join acc o)
+        (if id = entry then Some (Array.copy entry_env) else None)
+        preds.(id)
+    in
+    match inn with
+    | None -> ()
+    | Some inn ->
+        let stale =
+          match in_.(p) with None -> true | Some old -> not (same old inn)
+        in
+        if stale then begin
+          in_.(p) <- Some inn;
+          let o = run ~record:no_record inn p in
+          let changed =
+            match out.(p) with None -> true | Some old -> not (same old o)
+          in
+          if changed then begin
+            out.(p) <- Some o;
+            List.iter
+              (fun (s, _) ->
+                if pos.(s) >= 0 then
+                  Fix.Worklist.add wl
+                    ~key:(Fix.Worklist.sweep_key ~width ~key pos.(s))
+                    pos.(s))
+              (Cfg.successors cfg id)
+          end
+        end
+  in
+  ignore
+    (Fix.Worklist.drain wl ~analysis:"Symaddr.compute"
+       ~max_visits:(64 * (width + 1) * (Array.length regs + 2))
+       visit);
   (* One more pass over each reached block records the base value at
      every access's own program point. *)
   let base_values = Hashtbl.create 64 in
   let record uid v = Hashtbl.replace base_values uid v in
   Array.iteri
-    (fun id inn ->
-      match inn with
-      | None -> ()
-      | Some env ->
-          ignore
-            (List.fold_left (transfer ~record) env
-               (Block.instrs (Cfg.block cfg id))))
+    (fun p inn -> Option.iter (fun env -> ignore (run ~record env p)) inn)
     in_;
   { base_values }
 

@@ -14,7 +14,10 @@
     add/sub-with-a-known-constant [Binop]s (including the base
     post-increment of [update] loads/stores), every other definition
     starts a fresh origin, and CFG merges join pointwise with
-    equality-or-Top.
+    equality-or-Top. Environments hold only the address slice — the
+    registers that can flow into a base through copies and add/sub —
+    which is exact, since every other definition starts a fresh origin
+    that reads no register.
 
     Soundness of origin comparison: a point maps a register to
     [Sym (o, k)] only when {e every} path to it passes through [o] with
@@ -51,7 +54,8 @@ val pp_value : value Fmt.t
 type t
 
 val compute : Gis_ir.Cfg.t -> t
-(** Run the fixpoint and record, for every [Load]/[Store] in the graph,
+(** Run the fixpoint (raising {!Gis_util.Fix.Did_not_converge} past a
+    visit guard that scales with the slice) and record, for every [Load]/[Store] in the graph,
     the abstract value of its base register at its own program point
     (before the [update] post-increment, matching the effective-address
     computation). *)

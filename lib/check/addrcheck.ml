@@ -30,9 +30,15 @@ let bump v k =
   | Any -> None
 
 let compute cfg =
-  (* Registers interned to dense indices; environments are then flat
-     arrays rather than maps. [Reg.hash] is injective, so it is both
-     the intern key and the [Ref.reg] payload. *)
+  (* Only registers that can feed an access base are interned: the
+     bases themselves, then, sweep by sweep until a sweep interns
+     nothing new, the [Move] source and the [Add]/[Sub] register
+     operands of every definition of an interned register. Any other
+     definition is an opaque fresh instance that reads no register, so
+     no value of an uninterned register can reach an interned one, and
+     dropping the uninterned ones from the environments loses nothing.
+     [Reg.hash] is injective, so it is both the intern key and the
+     [Ref.reg] payload. *)
   let idx_of = Hashtbl.create 32 in
   let hashes = Vec.create () in
   let intern (r : Reg.t) =
@@ -42,24 +48,40 @@ let compute cfg =
       Vec.push hashes h
     end
   in
-  Cfg.iter_blocks
-    (fun b ->
-      List.iter
-        (fun i ->
-          List.iter intern (Instr.defs i);
-          List.iter intern (Instr.uses i))
-        (Block.instrs b))
-    cfg;
+  let interned (r : Reg.t) = Hashtbl.mem idx_of (Reg.hash r) in
+  (* Backwards, so a chain of copies written in program order closes in
+     one sweep. *)
+  let body = List.rev (Cfg.all_instrs cfg) in
+  List.iter
+    (fun i ->
+      match Instr.kind i with
+      | Instr.Load { base; _ } | Instr.Store { base; _ } -> intern base
+      | _ -> ())
+    body;
+  let rec close () =
+    let before = Vec.length hashes in
+    List.iter
+      (fun i ->
+        match Instr.kind i with
+        | Instr.Move { dst; src } when interned dst -> intern src
+        | Instr.Binop { op = Instr.Add | Instr.Sub; dst; lhs; rhs } when interned dst -> (
+            intern lhs;
+            match rhs with Instr.Reg r -> intern r | Instr.Imm _ -> ())
+        | _ -> ())
+      body;
+    if Vec.length hashes > before then close ()
+  in
+  close ();
   let nr = Vec.length hashes in
   let get env (r : Reg.t) =
-    match Hashtbl.find_opt idx_of (Reg.hash r) with
-    | Some i -> env.(i)
-    | None -> Any
+    match Hashtbl.find idx_of (Reg.hash r) with
+    | i -> env.(i)
+    | exception Not_found -> Any
   in
   let set env (r : Reg.t) v =
-    match Hashtbl.find_opt idx_of (Reg.hash r) with
-    | Some i -> env.(i) <- v
-    | None -> ()
+    match Hashtbl.find idx_of (Reg.hash r) with
+    | i -> env.(i) <- v
+    | exception Not_found -> ()
   in
   (* Transfer of one instruction, mutating [env]. Opaque definitions
      start a fresh instance, never [Any] — precision the scheduler side
@@ -121,12 +143,19 @@ let compute cfg =
      (block never reached); the entry block's environment seeds every
      register with its own entry instance, so a loop-carried
      redefinition joining the entry value goes to [Any] instead of
-     being mistaken for it. *)
+     being mistaken for it. Only laid-out blocks take part. A fresh
+     instance on an [Any] input makes the transfer non-monotone, so the
+     visit order matters: sweep keys visit blocks in repeated layout
+     order, exactly as the scheduler-side analysis does, re-queuing a
+     block only when a predecessor's exit environment changed. *)
   let n = Cfg.num_blocks cfg in
   let in_ : av array option array = Array.make n None in
   let out : av array option array = Array.make n None in
   let preds = Cfg.predecessors cfg in
   let entry = Cfg.entry cfg in
+  let order = Array.make n (-1) in
+  List.iteri (fun k id -> order.(id) <- k) (Cfg.layout cfg);
+  let width = List.length (Cfg.layout cfg) in
   let entry_env () =
     Array.init nr (fun i -> Ref { def = -1; reg = Vec.get hashes i; add = 0 })
   in
@@ -135,47 +164,53 @@ let compute cfg =
       if not (equal_av acc.(i) env.(i)) then acc.(i) <- Any
     done
   in
-  let wl = Fix.Worklist.create () in
-  Fix.Worklist.add wl entry;
-  let guard = ref 0 in
-  let rec drain () =
-    match Fix.Worklist.pop wl with
+  let wl = Fix.Worklist.create n in
+  if order.(entry) >= 0 then Fix.Worklist.add wl ~key:order.(entry) entry;
+  let step ~key id =
+    let inn =
+      List.fold_left
+        (fun acc p ->
+          match acc, out.(p) with
+          | None, None -> None
+          | None, Some o -> Some (Array.copy o)
+          | Some _, None -> acc
+          | Some a, Some o ->
+              join_into a o;
+              acc)
+        (if id = entry then Some (entry_env ()) else None)
+        preds.(id)
+    in
+    match inn with
     | None -> ()
-    | Some id ->
-        incr guard;
-        if !guard > 64 * (n + 1) * (nr + 2) then
-          failwith "Addrcheck.compute: did not converge";
-        let inn =
-          List.fold_left
-            (fun acc p ->
-              match acc, out.(p) with
-              | None, None -> None
-              | None, Some o -> Some (Array.copy o)
-              | Some _, None -> acc
-              | Some a, Some o ->
-                  join_into a o;
-                  acc)
-            (if id = entry then Some (entry_env ()) else None)
-            preds.(id)
+    | Some inn ->
+        let stale =
+          match in_.(id) with
+          | None -> true
+          | Some old -> not (Array.for_all2 equal_av old inn)
         in
-        (match inn with
-        | None -> ()
-        | Some inn ->
-            let stale =
-              match in_.(id) with
-              | None -> true
-              | Some old -> not (Array.for_all2 equal_av old inn)
-            in
-            if stale then begin
-              in_.(id) <- Some inn;
-              out.(id) <- Some (run_block (Array.copy inn) id);
-              List.iter
-                (fun (s, _) -> Fix.Worklist.add wl s)
-                (Cfg.successors cfg id)
-            end);
-        drain ()
+        if stale then begin
+          in_.(id) <- Some inn;
+          let o = run_block (Array.copy inn) id in
+          let moved =
+            match out.(id) with
+            | None -> true
+            | Some old -> not (Array.for_all2 equal_av old o)
+          in
+          out.(id) <- Some o;
+          if moved then
+            List.iter
+              (fun (s, _) ->
+                if order.(s) >= 0 then
+                  Fix.Worklist.add wl
+                    ~key:(Fix.Worklist.sweep_key ~width ~key order.(s))
+                    s)
+              (Cfg.successors cfg id)
+        end
   in
-  drain ();
+  ignore
+    (Fix.Worklist.drain wl ~analysis:"Addrcheck.compute"
+       ~max_visits:(64 * (n + 1) * (nr + 2))
+       step);
   (* Recording pass: replay each reached block once, noting every
      access's base value at its own program point. *)
   let at_access = Hashtbl.create 64 in

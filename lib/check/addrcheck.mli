@@ -8,9 +8,11 @@
     transfer through [Load_imm]/[Move]/add-sub-with-known-constant
     (including [update] post-increments), fresh instance per opaque
     definition, equality-or-Any join — but from an independent
-    implementation: registers are interned to dense indices, block
-    environments are flat arrays, and the fixpoint runs on a
-    {!Gis_util.Fix.Worklist} instead of repeated layout sweeps. The
+    implementation: only the registers that can feed an access base
+    are interned (found by its own backward sweeps, not the scheduler
+    side's slice), block environments are flat arrays over them, and
+    the fixpoint runs on a {!Gis_util.Fix.Worklist} in the same
+    sweep order as the scheduler side. The
     two must agree in precision (a weaker checker would reject legal
     schedules); they must never share defect modes (hence no code
     sharing, and no fault-injection hook on this side — an over-claim

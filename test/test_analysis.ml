@@ -526,6 +526,61 @@ let test_symaddr_join () =
     (diamond 8 8);
   Alcotest.(check (option int)) "disagreeing join is Top" None (diamond 8 16)
 
+(* The address slice, seen by both address analyses: a base reached
+   only through [Move] sources, through the register operands of
+   [Add]/[Sub], and through a chain of copies laid out after the block
+   that reads it. Each analysis restricts its environments to the
+   registers that can feed a base; one that left out any of these
+   would lose the deltas below. *)
+let test_address_slice () =
+  let g = Reg.Gen.create () in
+  let gpr () = Reg.Gen.fresh g Reg.Gpr in
+  let e1 = gpr () and e2 = gpr () and k = gpr () and x = gpr () in
+  let b2 = gpr () and b3 = gpr () and b4 = gpr () and b6 = gpr () in
+  let b7 = gpr () and b8 = gpr () and u = gpr () and w = gpr () in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "E",
+          [
+            B.li ~dst:k 8;
+            B.mr ~dst:b2 ~src:e1;
+            B.mr ~dst:b3 ~src:e1;
+            B.add ~dst:b4 ~lhs:e2 ~rhs:k;
+            B.addi ~dst:b6 ~lhs:e2 16;
+            B.sub ~dst:b7 ~lhs:e2 ~rhs:k;
+          ],
+          B.jmp "C" );
+        ( "B",
+          [
+            B.store ~src:x ~base:b2 ~offset:0;
+            B.store ~src:x ~base:b3 ~offset:4;
+            B.store ~src:x ~base:b4 ~offset:0;
+            B.store ~src:x ~base:b6 ~offset:0;
+            B.store ~src:x ~base:b7 ~offset:0;
+            B.mr ~dst:b8 ~src:u;
+            B.store ~src:x ~base:b8 ~offset:0;
+          ],
+          Instr.Halt );
+        ("C", [ B.mr ~dst:w ~src:e1; B.mr ~dst:u ~src:w ], B.jmp "B");
+      ]
+  in
+  let sym = Symaddr.compute cfg and chk = Gis_check.Addrcheck.compute cfg in
+  let at = body_uid cfg "B" in
+  List.iter
+    (fun (what, a, b, expected) ->
+      Alcotest.(check (option int)) ("symaddr: " ^ what) expected
+        (Symaddr.delta sym ~a:(at a) ~b:(at b));
+      Alcotest.(check (option int)) ("addrcheck: " ^ what) expected
+        (Gis_check.Addrcheck.delta chk ~a:(at a) ~b:(at b)))
+    [
+      ("moves of one source", 0, 1, Some 0);
+      ("add of a constant register", 2, 3, Some 8);
+      ("sub of a constant register", 3, 4, Some (-24));
+      ("copies laid out later", 0, 6, Some 0);
+      ("distinct origins", 0, 2, None);
+    ]
+
 (* The fault-injection hook fabricates deltas for unprovable pairs;
    the DDG-subset property and the checker-independence tests rely on
    it actually over-claiming. *)
@@ -554,6 +609,37 @@ let test_symaddr_overclaim_hook () =
     (fun () ->
       Alcotest.(check bool) "hook fabricates a delta" true
         (Symaddr.delta t ~a:u0 ~b:u1 <> None))
+
+(* Allocation budget of a whole compile: the large-procedure benchmark
+   program (hardened grammar, body_len 40, seed 3000, printed and
+   compiled from its Tiny-C text; 1,175 instructions) through the pipeline at BASE and at full level.
+   [Gc.minor_words] counts every word allocated and is deterministic,
+   so the ceilings are exact checks, not timings. Whole-procedure
+   analyses whose work follows the procedure's size rather than the
+   facts they need break them: the dense address analysis and the
+   tree-set reaching definitions allocated about 402 MB (BASE) and
+   2,144 MB (full). *)
+let test_allocation_budget () =
+  let open Gis_workloads in
+  let params = { Random_prog.hardened with Random_prog.body_len = 40 } in
+  let source =
+    Fmt.str "%a" Gis_frontend.Ast.pp_program
+      (Random_prog.generate_with params ~seed:3000)
+  in
+  let cfg = (Gis_frontend.Codegen.compile_string source).Gis_frontend.Codegen.cfg in
+  Alcotest.(check int) "program size" 1175 (Cfg.instr_count cfg);
+  let allocated_mb config =
+    let cfg = Cfg.deep_copy cfg in
+    let before = Gc.minor_words () in
+    ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config cfg);
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. 1e6
+  in
+  let within what ceiling mb =
+    if mb > ceiling then
+      Alcotest.failf "%s compile allocated %.1f MB, budget %.0f MB" what mb ceiling
+  in
+  within "BASE" 40. (allocated_mb Gis_core.Config.base);
+  within "full" 600. (allocated_mb Gis_core.Config.speculative)
 
 let () =
   Alcotest.run "gis_analysis"
@@ -606,7 +692,13 @@ let () =
           Alcotest.test_case "update post-increment" `Quick
             test_symaddr_update_postincrement;
           Alcotest.test_case "join" `Quick test_symaddr_join;
+          Alcotest.test_case "address slice" `Quick test_address_slice;
           Alcotest.test_case "overclaim hook" `Quick
             test_symaddr_overclaim_hook;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "large-procedure allocation" `Quick
+            test_allocation_budget;
         ] );
     ]

@@ -353,6 +353,134 @@ let prop_liveness_consistent seed =
       Reg.Set.subset (Reg.Set.diff out defs) inn)
     (Cfg.layout cfg)
 
+(* The scheduler's address analysis and the checker's independent one
+   must agree in precision: the same [delta] for every ordered pair of
+   memory accesses, on a program as generated and again after a
+   full-level pipeline run. *)
+let address_analyses_agree cfg =
+  let accesses =
+    List.filter_map
+      (fun i ->
+        match Instr.kind i with
+        | Instr.Load _ | Instr.Store _ -> Some (Instr.uid i)
+        | _ -> None)
+      (Cfg.all_instrs cfg)
+  in
+  let sym = Gis_analysis.Symaddr.compute cfg in
+  let chk = Gis_check.Addrcheck.compute cfg in
+  List.for_all
+    (fun a ->
+      List.for_all
+        (fun b ->
+          Gis_analysis.Symaddr.delta sym ~a ~b
+          = Gis_check.Addrcheck.delta chk ~a ~b)
+        accesses)
+    accesses
+
+let input_and_scheduled cfg =
+  let scheduled = Cfg.deep_copy cfg in
+  ignore (Pipeline.run machine Config.speculative scheduled);
+  [ cfg; scheduled ]
+
+let prop_address_analyses_agree seed =
+  List.for_all
+    (fun params ->
+      let c = Random_prog.generate_compiled_with params ~seed in
+      List.for_all address_analyses_agree
+        (input_and_scheduled c.Codegen.cfg))
+    [ Random_prog.default; Random_prog.hardened ]
+
+let test_address_analyses_agree_on_proxies () =
+  List.iter
+    (fun (p : Spec_proxy.t) ->
+      List.iter
+        (fun cfg ->
+          Alcotest.(check bool) p.Spec_proxy.name true (address_analyses_agree cfg))
+        (input_and_scheduled (Spec_proxy.compile p).Codegen.cfg))
+    Spec_proxy.all
+
+(* Reaching definitions against a path-walking reference: the sites
+   reaching a use are the nearest definitions of its register on every
+   backward path through laid-out blocks, plus [External] when some
+   path reaches the start of the entry block without one. *)
+let naive_reaching cfg =
+  let laid_out = Hashtbl.create 64 in
+  List.iter (fun id -> Hashtbl.replace laid_out id ()) (Cfg.layout cfg);
+  let preds = Cfg.predecessors cfg in
+  let entry = Cfg.entry cfg in
+  (* Sites reaching the end of [instrs] (a block prefix, reversed), then
+     the start of that block, backward. *)
+  let walk reg ~block ~rev_prefix =
+    let found = ref [] and seen = Hashtbl.create 16 in
+    let add s = if not (List.mem s !found) then found := s :: !found in
+    let rec from_end id rev_instrs =
+      match List.find_opt (fun i -> List.exists (Reg.equal reg) (Instr.defs i)) rev_instrs with
+      | Some i -> add (Gis_analysis.Reaching.Def (Instr.uid i))
+      | None ->
+          if not (Hashtbl.mem seen id) then begin
+            Hashtbl.add seen id ();
+            if id = entry then add Gis_analysis.Reaching.External;
+            List.iter
+              (fun p ->
+                if Hashtbl.mem laid_out p then
+                  from_end p (List.rev (Block.instrs (Cfg.block cfg p))))
+              preds.(id)
+          end
+    in
+    from_end block rev_prefix;
+    !found
+  in
+  List.concat_map
+    (fun id ->
+      let rec go rev_prefix = function
+        | [] -> []
+        | i :: rest ->
+            List.map
+              (fun r -> ((Instr.uid i, r), walk r ~block:id ~rev_prefix))
+              (Instr.uses i)
+            @ go (i :: rev_prefix) rest
+      in
+      go [] (Block.instrs (Cfg.block cfg id)))
+    (Cfg.layout cfg)
+
+let reaching_matches_oracle cfg =
+  let reaching = Gis_analysis.Reaching.compute cfg in
+  let oracle = naive_reaching cfg in
+  let sort l = List.sort_uniq compare l in
+  let defs_ok =
+    List.for_all
+      (fun ((uid, reg), sites) ->
+        sort (Gis_analysis.Reaching.defs_of_use reaching ~uid ~reg) = sort sites)
+      oracle
+  in
+  let inverse_ok =
+    List.for_all
+      (fun i ->
+        List.for_all
+          (fun reg ->
+            let uid = Instr.uid i in
+            let expected =
+              List.filter_map
+                (fun ((use, r), sites) ->
+                  if Reg.equal r reg && List.mem (Gis_analysis.Reaching.Def uid) sites
+                  then Some use
+                  else None)
+                oracle
+            in
+            sort (Gis_analysis.Reaching.uses_of_def reaching ~uid ~reg)
+            = sort expected)
+          (Instr.defs i))
+      (Cfg.all_instrs cfg)
+  in
+  defs_ok && inverse_ok
+
+let prop_reaching_vs_naive seed =
+  List.for_all
+    (fun params ->
+      let c = Random_prog.generate_compiled_with params ~seed in
+      List.for_all reaching_matches_oracle (input_and_scheduled c.Codegen.cfg))
+    [ Random_prog.default; Random_prog.hardened ]
+
 (* The paper's minmax on random inputs at every level. *)
 let prop_minmax_all_levels seed =
   let rng = Prng.create ~seed in
@@ -417,6 +545,10 @@ let () =
         [
           qtest "pruned DDG is a subset" 40 prop_disambig_subset;
           qtest "checked at all levels x widths" 25 prop_disambig_checked;
+          qtest "scheduler and checker analyses agree" 40
+            prop_address_analyses_agree;
+          Alcotest.test_case "analyses agree on the SPEC proxies" `Quick
+            test_address_analyses_agree_on_proxies;
         ] );
       ( "transforms preserve observables",
         [
@@ -434,6 +566,7 @@ let () =
           qtest "dominance vs naive" 40 prop_dominance;
           qtest "ddg wellformed" 30 prop_ddg_wellformed;
           qtest "liveness consistent" 40 prop_liveness_consistent;
+          qtest "reaching vs naive" 30 prop_reaching_vs_naive;
           qtest "minmax all levels" 30 prop_minmax_all_levels;
         ] );
     ]

@@ -67,27 +67,73 @@ let test_set_in_place () =
 
 let test_fix_iterate () =
   let x = ref 0 in
-  let rounds = Fix.iterate (fun () -> incr x; !x < 5) in
+  let rounds = Fix.iterate ~analysis:"test" (fun () -> incr x; !x < 5) in
   check_int "rounds" 5 rounds;
   check_int "final" 5 !x;
   Alcotest.check_raises "divergence guard"
-    (Failure "Fix.iterate: did not converge") (fun () ->
-      ignore (Fix.iterate ~max_rounds:10 (fun () -> true)))
+    (Fix.Did_not_converge { analysis = "test"; steps = 10 }) (fun () ->
+      ignore (Fix.iterate ~analysis:"test" ~max_rounds:10 (fun () -> true)))
 
 let test_worklist () =
   let open Fix.Worklist in
-  let w = create () in
-  add w 1;
-  add w 2;
-  add w 1;
-  (* duplicate ignored *)
-  Alcotest.(check (option int)) "pop lifo" (Some 2) (pop w);
-  Alcotest.(check (option int)) "pop next" (Some 1) (pop w);
+  let w = create 8 in
+  add w ~key:5 1;
+  add w ~key:2 3;
+  add w ~key:7 1;
+  (* already present: keeps key 5 *)
+  add w ~key:2 6;
+  Alcotest.(check (option (pair int int))) "smallest key" (Some (2, 3)) (pop w);
+  Alcotest.(check (option (pair int int))) "tie by element" (Some (2, 6)) (pop w);
+  Alcotest.(check (option (pair int int))) "first key kept" (Some (5, 1)) (pop w);
   Alcotest.(check bool) "empty" true (is_empty w);
-  Alcotest.(check (option int)) "pop empty" None (pop w);
-  (* Re-adding after pop works. *)
-  add w 1;
-  Alcotest.(check (option int)) "re-add" (Some 1) (pop w)
+  Alcotest.(check (option (pair int int))) "pop empty" None (pop w);
+  (* Re-adding after pop works, with the new key. *)
+  add w ~key:9 1;
+  Alcotest.(check (option (pair int int))) "re-add" (Some (9, 1)) (pop w)
+
+let test_worklist_sweeps () =
+  let open Fix.Worklist in
+  (* Position 2 in sweep 0: a later position stays in this sweep, an
+     earlier one (or itself) goes to the next. *)
+  check_int "later" 4 (sweep_key ~width:5 ~key:2 4);
+  check_int "earlier" 6 (sweep_key ~width:5 ~key:2 1);
+  check_int "self" 7 (sweep_key ~width:5 ~key:2 2);
+  check_int "sweep 3" 19 (sweep_key ~width:5 ~key:17 4);
+  let w = create 4 in
+  add w ~key:0 0;
+  let seen = ref [] in
+  let visits =
+    drain w ~analysis:"test" ~max_visits:100 (fun ~key x ->
+        seen := x :: !seen;
+        (* a two-block loop 0 -> 1 -> 0, run for two sweeps *)
+        if key < 4 then add w ~key:(sweep_key ~width:2 ~key (1 - x)) (1 - x))
+  in
+  check_list "sweep order" [ 0; 1; 0; 1; 0 ] (List.rev !seen);
+  check_int "visits" 5 visits;
+  add w ~key:0 0;
+  Alcotest.check_raises "visit guard"
+    (Fix.Did_not_converge { analysis = "test"; steps = 3 }) (fun () ->
+      ignore
+        (drain w ~analysis:"test" ~max_visits:3 (fun ~key x ->
+             add w ~key:(key + 1) x)))
+
+let test_bitv () =
+  let s = Bitv.create 130 in
+  List.iter (Bitv.add s) [ 0; 62; 63; 129 ];
+  Bitv.remove s 62;
+  Alcotest.(check (list int)) "members" [ 0; 63; 129 ]
+    (List.filter (Bitv.mem s) (List.init 130 Fun.id));
+  let gen = Bitv.create 130 and kill = Bitv.create 130 and dst = Bitv.create 130 in
+  Bitv.add gen 5;
+  Bitv.add kill 63;
+  Alcotest.(check bool) "changed" true (Bitv.flow_into ~dst ~gen ~kill s);
+  Alcotest.(check (list int)) "gen + (in - kill)" [ 0; 5; 129 ]
+    (List.filter (Bitv.mem dst) (List.init 130 Fun.id));
+  Alcotest.(check bool) "stable" false (Bitv.flow_into ~dst ~gen ~kill s);
+  let c = Bitv.copy dst in
+  Bitv.clear dst;
+  Bitv.union_into ~dst c;
+  Alcotest.(check bool) "union restores" true (Bitv.mem dst 129 && Bitv.mem dst 5)
 
 let test_int_set_pp () =
   let s = Ints.Int_set.of_list [ 3; 1; 2 ] in
@@ -109,6 +155,11 @@ let () =
         [
           Alcotest.test_case "iterate" `Quick test_fix_iterate;
           Alcotest.test_case "worklist" `Quick test_worklist;
+          Alcotest.test_case "worklist sweeps" `Quick test_worklist_sweeps;
+        ] );
+      ( "bitv",
+        [
+          Alcotest.test_case "ops" `Quick test_bitv;
         ] );
       ("ints", [ Alcotest.test_case "pp" `Quick test_int_set_pp ]);
     ]
