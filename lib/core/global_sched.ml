@@ -106,6 +106,14 @@ let region_too_big config cfg (region : Regions.region) =
     Some (Fmt.str "region has %d instructions (limit %d)" instrs config.Config.max_region_instrs)
   else None
 
+(* Whole-procedure liveness shared by every region of one [schedule]
+   call: computed on the first read, then refreshed in the blocks listed
+   in [dirty] before the next one. *)
+type shared_liveness = {
+  info : Liveness.t Lazy.t;
+  mutable dirty : int list;  (** blocks changed since the last read *)
+}
+
 (* Scheduling state for one region. *)
 type state = {
   cfg : Cfg.t;
@@ -122,11 +130,13 @@ type state = {
   issue : int array;  (** ddg node -> issue cycle within its block pass *)
   done_ : bool array;  (** ddg node -> dependences from it are fulfilled *)
   current : Instr.t option array;  (** possibly renamed instruction *)
-  mutable liveness : Liveness.t option;
-      (** computed lazily and invalidated on motion — only the
-          speculative safety rule reads it, so useful-only scheduling
-          never pays for it, and a burst of motions between two safety
-          checks costs one recomputation, not one per motion *)
+  liveness : shared_liveness;
+      (** one per [schedule] call, computed on the first read — only
+          the speculative safety rule and the pressure term read it, so
+          useful-only scheduling never pays for it. Motions record the
+          blocks they change, and the next read refreshes just those:
+          a burst of motions between two reads costs one re-solve, and
+          none of them a whole-procedure recomputation. *)
   mutable reaching : Reaching.t option;
       (** computed lazily — only rename-safety checks need it *)
   mutable moves : move list;
@@ -144,19 +154,21 @@ let view_label st v =
   | Regions.Inner_loop _ -> None
 
 (* Liveness and reaching definitions go stale whenever an instruction
-   moves; mark them dirty and recompute on the next read instead of
-   recomputing eagerly after every motion. *)
-let invalidate_dataflow st =
-  st.liveness <- None;
+   moves. [blocks] lists every block whose instruction list changed:
+   liveness re-summarizes them on its next read, reaching definitions
+   are recomputed whole. *)
+let invalidate_dataflow st blocks =
+  if Lazy.is_val st.liveness.info then
+    st.liveness.dirty <- List.rev_append blocks st.liveness.dirty;
   st.reaching <- None
 
 let liveness st =
-  match st.liveness with
-  | Some l -> l
-  | None ->
-      let l = Liveness.compute st.cfg in
-      st.liveness <- Some l;
-      l
+  let l = Lazy.force st.liveness.info in
+  if st.liveness.dirty <> [] then begin
+    Liveness.refresh l st.cfg (List.sort_uniq Int.compare st.liveness.dirty);
+    st.liveness.dirty <- []
+  end;
+  l
 
 let reaching st =
   match st.reaching with
@@ -166,7 +178,7 @@ let reaching st =
       st.reaching <- Some r;
       r
 
-let make_state ?sym machine config cfg regions view =
+let make_state ?sym ~liveness machine config cfg regions view =
   let ddg = Ddg.build ?sym cfg machine regions view in
   let ddg = if config.Config.prune_transitive then Ddg.prune_transitive ddg else ddg in
   let flow = view.Regions.flow in
@@ -215,7 +227,7 @@ let make_state ?sym machine config cfg regions view =
     issue = Array.make n (-1);
     done_ = Array.make n false;
     current = Array.init n (fun i -> (Ddg.node ddg i).Ddg.instr);
-    liveness = None;
+    liveness;
     reaching = None;
     moves = [];
     blocked_log = [];
@@ -364,10 +376,13 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
   in
   let from_blk = Cfg.block st.cfg from_blk_id in
   ignore (Block.remove_by_uid from_blk ~uid:(Instr.uid inst));
-  let inst, renamed =
+  let inst, renamed, consumer_blks =
     match rename with
-    | None -> (inst, None)
+    | None -> (inst, None, [])
     | Some (r, consumer_uids) ->
+        let consumer_blks =
+          List.filter_map (Cfg.owner_of_uid st.cfg) consumer_uids
+        in
         let r' = Cfg.fresh_reg st.cfg r.Reg.cls in
         let inst' = Instr.rename_def inst ~from_reg:r ~to_reg:r' in
         List.iter
@@ -383,7 +398,7 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
                     st.current.(j)
             | None -> ())
           consumer_uids;
-        (inst', Some (r, r'))
+        (inst', Some (r, r'), consumer_blks)
   in
   st.current.(i) <- Some inst;
   Vec.push target_blk.Block.body inst;
@@ -411,10 +426,14 @@ let apply_motion st ~node:i ~target_blk ~speculative ~rename ~duplicated_into =
        Gis_obs.Metrics.incr m_renames;
        emit st (Gis_obs.Sink.Renamed { uid; from_reg; to_reg })
    | None -> ());
-  invalidate_dataflow st;
+  invalidate_dataflow st (from_blk_id :: target_blk.Block.id :: consumer_blks);
   inst
 
 (* ---- the per-block cycle-by-cycle process (Section 5.1) ---- *)
+
+(* Unit types by issue-slot index. *)
+let unit_tys = [| Instr.Fixed; Instr.Float; Instr.Branch |]
+let slot = function Instr.Fixed -> 0 | Instr.Float -> 1 | Instr.Branch -> 2
 
 let schedule_block st a blk_id =
   let blk = Cfg.block st.cfg blk_id in
@@ -522,6 +541,10 @@ let schedule_block st a blk_id =
   in
   let is_own i = st.home.(i) = a in
   let finished = ref false in
+  (* Issue slots left this cycle, indexed by [slot]. *)
+  let slots = Array.make (Array.length unit_tys) 0 in
+  let slots_left u = slots.(slot u) in
+  let take_slot u = slots.(slot u) <- slots.(slot u) - 1 in
   (* Ready-list machinery. Candidates whose dependences are satisfied
      sit in [ready_h], a heap ordered by the paper's rank heuristics
      (rules 1-7, [Program_order] as the strict final arbiter, so pop
@@ -533,7 +556,7 @@ let schedule_block st a blk_id =
      pressure term, [item]'s fields are likewise fixed for the lifetime
      of a heap entry: [home] changes only when a node issues, and
      issued nodes never re-enter a heap. The [pressure] field, however,
-     reads the lazy liveness that every motion invalidates, so under
+     reads the shared liveness that every motion changes, so under
      [pressure_aware] each applied motion must re-key surviving heap
      entries (see [rekey_ready]) or pops would follow stale ranks. *)
   let pressure_budget cls =
@@ -570,9 +593,9 @@ let schedule_block st a blk_id =
   let ready_h = Heap.create ~cmp:(Priority.compare ~rules) in
   let waiting = Heap.create ~cmp:(fun (ra, _) (rb, _) -> Int.compare ra rb) in
   let deferred = ref [] in
-  (* An applied motion invalidates the lazy liveness backing the
-     pressure term, leaving entries already in the heaps with stale
-     rank keys; rebuild every surviving entry with a fresh [item].
+  (* An applied motion changes the liveness backing the pressure term,
+     leaving entries already in the heaps with stale rank keys; rebuild
+     every surviving entry with a fresh [item].
      Skipped entirely when pressure-aware scheduling is off: all keys
      are then immutable and pop order is untouched, keeping the golden
      schedules byte-identical. *)
@@ -602,14 +625,13 @@ let schedule_block st a blk_id =
     if candidate.(i) && st.issue.(i) = -1 && pending.(i) = 0 then release i
   done;
   while not !finished do
-    if !cycle > 200_000 then failwith "Global_sched: no progress";
-    let slots = Hashtbl.create 3 in
-    let slots_left u =
-      match Hashtbl.find_opt slots u with
-      | Some k -> k
-      | None -> Machine.units st.machine u
-    in
-    let take_slot u = Hashtbl.replace slots u (slots_left u - 1) in
+    if !cycle > 200_000 then
+      raise
+        (Sched_error.No_progress
+           { pass = Sched_error.Global; block = blk.Block.label; cycle = !cycle });
+    for k = 0 to Array.length unit_tys - 1 do
+      slots.(k) <- Machine.units st.machine unit_tys.(k)
+    done;
     (* Start-of-cycle: operands newly available this cycle, plus
        candidates shut out by unit saturation last cycle (units never
        free up mid-cycle, so they could not have issued any earlier). *)
@@ -786,26 +808,34 @@ let schedule_block st a blk_id =
                 check_speculative st ~target_block:blk_id inst
               else Safe
             in
+            (* Copies for hosts whose pass is still ahead wait in
+               [pending_copies]; only the others change the CFG now. *)
             let place_copies placed =
-              List.iter
-                (fun p ->
-                  match st.view.Regions.nodes.(p) with
-                  | Regions.Block pb ->
-                      let copy = Cfg.copy_instr st.cfg placed in
-                      Gis_obs.Metrics.incr m_dup_copies;
-                      Gis_obs.Provenance.duplicated st.config.Config.prov
-                        ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
-                        ~block:(Cfg.block st.cfg pb).Block.label;
-                      if Ints.Int_set.mem p st.processed then
-                        Vec.push (Cfg.block st.cfg pb).Block.body copy
-                      else
-                        Hashtbl.replace st.pending_copies p
-                          (copy
-                          :: Option.value ~default:[]
-                               (Hashtbl.find_opt st.pending_copies p))
-                  | Regions.Inner_loop _ -> assert false)
-                copy_hosts;
-              if copy_hosts <> [] then invalidate_dataflow st
+              let changed =
+                List.filter_map
+                  (fun p ->
+                    match st.view.Regions.nodes.(p) with
+                    | Regions.Block pb ->
+                        let copy = Cfg.copy_instr st.cfg placed in
+                        Gis_obs.Metrics.incr m_dup_copies;
+                        Gis_obs.Provenance.duplicated st.config.Config.prov
+                          ~orig:(Instr.uid placed) ~copy:(Instr.uid copy)
+                          ~block:(Cfg.block st.cfg pb).Block.label;
+                        if Ints.Int_set.mem p st.processed then begin
+                          Vec.push (Cfg.block st.cfg pb).Block.body copy;
+                          Some pb
+                        end
+                        else begin
+                          Hashtbl.replace st.pending_copies p
+                            (copy
+                            :: Option.value ~default:[]
+                                 (Hashtbl.find_opt st.pending_copies p));
+                          None
+                        end
+                    | Regions.Inner_loop _ -> assert false)
+                  copy_hosts
+              in
+              invalidate_dataflow st changed
             in
             (* Provenance: the committed motion with the heap entry's
                decision-time ranks. Reads the move record [apply_motion]
@@ -888,58 +918,7 @@ let schedule_block st a blk_id =
       Hashtbl.remove st.pending_copies a
   | None -> ());
   st.processed <- Ints.Int_set.add a st.processed;
-  invalidate_dataflow st
-
-let note_skip (config : Config.t) region_id reason =
-  config.Config.obs.Gis_obs.Sink.emit
-    (Gis_obs.Sink.Region_skipped { region_id; reason })
-
-let schedule_region ?sym machine config cfg regions region =
-  let base_report =
-    {
-      region_id = region.Regions.id;
-      nesting = region.Regions.nesting;
-      scheduled = false;
-      skip_reason = None;
-      moves = [];
-      blocked = [];
-    }
-  in
-  let skipped why =
-    Gis_obs.Metrics.incr m_regions_skipped;
-    note_skip config region.Regions.id why;
-    { base_report with skip_reason = Some why }
-  in
-  if config.Config.level = Config.Local then
-    skipped "local-only configuration"
-  else
-    match region_too_big config cfg region with
-    | Some why -> skipped why
-    | None -> (
-        match Regions.view cfg regions region with
-        | exception Invalid_argument why -> skipped why
-        | view ->
-            let st = make_state ?sym machine config cfg regions view in
-            let topo = Flow.reverse_postorder view.Regions.flow in
-            List.iter
-              (fun v ->
-                (match view.Regions.nodes.(v) with
-                | Regions.Block blk_id -> schedule_block st v blk_id
-                | Regions.Inner_loop _ -> ());
-                (* Everything homed in this view node is now behind us. *)
-                Array.iteri
-                  (fun i h -> if h = v then st.done_.(i) <- true)
-                  st.home)
-              topo;
-            Gis_obs.Metrics.incr m_regions_scheduled;
-            Log.debug (fun m ->
-                m "region %d: %d moves" region.Regions.id (List.length st.moves));
-            {
-              base_report with
-              scheduled = true;
-              moves = List.rev st.moves;
-              blocked = List.rev st.blocked_log;
-            })
+  invalidate_dataflow st [ blk_id ]
 
 (* Regions are eligible when within [max_nesting_levels] of the
    innermost level: a leaf loop has inner level 1, a region whose
@@ -975,6 +954,20 @@ let is_inner_region (region : Regions.region) =
   | Some l -> l.Gis_analysis.Loops.children = []
   | None -> false
 
+let note_skip (config : Config.t) region_id reason =
+  config.Config.obs.Gis_obs.Sink.emit
+    (Gis_obs.Sink.Region_skipped { region_id; reason })
+
+let report (region : Regions.region) ~skip_reason =
+  {
+    region_id = region.Regions.id;
+    nesting = region.Regions.nesting;
+    scheduled = false;
+    skip_reason;
+    moves = [];
+    blocked = [];
+  }
+
 let schedule ?(only = fun _ -> true) ?regions machine config cfg =
   let regions =
     match regions with Some r -> r | None -> Regions.compute cfg
@@ -987,46 +980,70 @@ let schedule ?(only = fun _ -> true) ?regions machine config cfg =
       Some (Symaddr.compute cfg)
     else None
   in
+  (* So does one liveness, refreshed in the blocks each motion touches;
+     a new one per call absorbs any reshaping between passes. *)
+  let liveness = { info = lazy (Liveness.compute cfg); dirty = [] } in
   let inner_level = inner_levels regions in
+  let skipped region why =
+    note_skip config region.Regions.id why;
+    report region ~skip_reason:(Some why)
+  in
+  let schedule_region region =
+    let rejected why =
+      Gis_obs.Metrics.incr m_regions_skipped;
+      skipped region why
+    in
+    if config.Config.level = Config.Local then
+      rejected "local-only configuration"
+    else
+      match region_too_big config cfg region with
+      | Some why -> rejected why
+      | None -> (
+          match Regions.view cfg regions region with
+          | exception Invalid_argument why -> rejected why
+          | view ->
+              let st =
+                make_state ?sym ~liveness machine config cfg regions view
+              in
+              let topo = Flow.reverse_postorder view.Regions.flow in
+              List.iter
+                (fun v ->
+                  (match view.Regions.nodes.(v) with
+                  | Regions.Block blk_id -> schedule_block st v blk_id
+                  | Regions.Inner_loop _ -> ());
+                  (* Everything homed in this view node is now behind us. *)
+                  Array.iteri
+                    (fun i h -> if h = v then st.done_.(i) <- true)
+                    st.home)
+                topo;
+              Gis_obs.Metrics.incr m_regions_scheduled;
+              Log.debug (fun m ->
+                  m "region %d: %d moves" region.Regions.id
+                    (List.length st.moves));
+              {
+                (report region ~skip_reason:None) with
+                scheduled = true;
+                moves = List.rev st.moves;
+                blocked = List.rev st.blocked_log;
+              })
+  in
   List.map
     (fun region ->
-      if not (only region) then begin
-        note_skip config region.Regions.id "filtered out for this pass";
-        {
-          region_id = region.Regions.id;
-          nesting = region.Regions.nesting;
-          scheduled = false;
-          skip_reason = Some "filtered out for this pass";
-          moves = [];
-          blocked = [];
-        }
-      end
-      else if inner_level region > config.Config.max_nesting_levels then begin
-        let why =
-          Fmt.str "nesting: inner level %d exceeds limit %d"
-            (inner_level region)
-            config.Config.max_nesting_levels
-        in
-        note_skip config region.Regions.id why;
-        {
-          region_id = region.Regions.id;
-          nesting = region.Regions.nesting;
-          scheduled = false;
-          skip_reason = Some why;
-          moves = [];
-          blocked = [];
-        }
-      end
+      if not (only region) then skipped region "filtered out for this pass"
+      else if inner_level region > config.Config.max_nesting_levels then
+        skipped region
+          (Fmt.str "nesting: inner level %d exceeds limit %d"
+             (inner_level region)
+             config.Config.max_nesting_levels)
       else
         (* Per-region attribution: each scheduled region becomes a
            profile node under the enclosing global pass. The name is
            only built when a profiler is attached, so the detached path
            stays allocation-identical. *)
         match config.Config.prof with
-        | None -> schedule_region ?sym machine config cfg regions region
+        | None -> schedule_region region
         | Some _ as prof ->
             Gis_obs.Prof.record prof
               (Fmt.str "region-%d" region.Regions.id)
-              (fun () ->
-                schedule_region ?sym machine config cfg regions region))
+              (fun () -> schedule_region region))
     (Regions.regions regions)

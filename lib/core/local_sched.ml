@@ -3,8 +3,9 @@ open Gis_ir
 open Gis_ddg
 
 (* List-schedule the nodes of a single-block DDG. Returns the emission
-   order (node indices) and each node's issue cycle. *)
-let run machine rules ddg =
+   order (node indices) and each node's issue cycle. [block] names the
+   block in a {!Sched_error.No_progress}. *)
+let run ~block machine rules ddg =
   let n = Ddg.num_nodes ddg in
   let heur = Heuristics.compute ddg in
   let pending = Array.make n 0 in
@@ -23,7 +24,10 @@ let run machine rules ddg =
     | None -> Instr.Fixed
   in
   while !scheduled < n do
-    if !cycle > 100_000 then failwith "Local_sched: no progress";
+    if !cycle > 100_000 then
+      raise
+        (Sched_error.No_progress
+           { pass = Sched_error.Local; block; cycle = !cycle });
     let slots = Hashtbl.create 3 in
     let slots_left u =
       match Hashtbl.find_opt slots u with
@@ -80,7 +84,7 @@ let run machine rules ddg =
 let schedule_block ?(rules = Priority_rule.paper_order) ?prov ?sym machine
     (b : Block.t) =
   let ddg = Ddg.build_single_block ?sym machine b in
-  let order, issue = run machine rules ddg in
+  let order, issue = run ~block:b.Block.label machine rules ddg in
   let n = Ddg.num_nodes ddg in
   let instr_of i =
     match (Ddg.node ddg i).Ddg.instr with
@@ -125,5 +129,5 @@ let schedule_cfg ?(rules = Priority_rule.paper_order) ?(obs = Gis_obs.Sink.null)
 
 let block_schedule_length machine (b : Block.t) =
   let ddg = Ddg.build_single_block machine b in
-  let _, issue = run machine Priority_rule.paper_order ddg in
+  let _, issue = run ~block:b.Block.label machine Priority_rule.paper_order ddg in
   issue.(Ddg.num_nodes ddg - 1) + 1

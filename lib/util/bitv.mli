@@ -1,10 +1,10 @@
 (** Fixed-width mutable bit-vectors over the elements [0 .. n-1],
     stored as arrays of [int] words holding 63 elements each.
 
-    Reaching definitions keeps its gen, kill, in and out sets here:
-    union and difference run a word at a time instead of rebalancing a
-    tree per element. All binary operations require vectors created
-    with the same width. *)
+    Reaching definitions and liveness keep their per-block summaries
+    and in/out sets here: union and difference run a word at a time
+    instead of rebalancing a tree per element. All binary operations
+    require vectors of the same width. *)
 
 type t
 
@@ -21,6 +21,14 @@ val remove : t -> int -> unit
 
 val clear : t -> unit
 (** Remove every element. *)
+
+val widen : t -> int -> t
+(** [widen t n] is [t] itself when it already holds the elements
+    [0 .. n-1], and otherwise a wider copy of [t] with the same
+    elements. *)
+
+val iter : (int -> unit) -> t -> unit
+(** The elements in increasing order. *)
 
 val union_into : dst:t -> t -> unit
 (** [union_into ~dst s] adds every element of [s] to [dst]. *)

@@ -618,7 +618,9 @@ let test_symaddr_overclaim_hook () =
    analyses whose work follows the procedure's size rather than the
    facts they need break them: the dense address analysis and the
    tree-set reaching definitions allocated about 402 MB (BASE) and
-   2,144 MB (full). *)
+   2,144 MB (full); recomputing tree-set liveness over the whole
+   procedure after every motion still allocated about 283 MB (full),
+   against about 50 MB with liveness refreshed in the touched blocks. *)
 let test_allocation_budget () =
   let open Gis_workloads in
   let params = { Random_prog.hardened with Random_prog.body_len = 40 } in
@@ -639,7 +641,7 @@ let test_allocation_budget () =
       Alcotest.failf "%s compile allocated %.1f MB, budget %.0f MB" what mb ceiling
   in
   within "BASE" 40. (allocated_mb Gis_core.Config.base);
-  within "full" 600. (allocated_mb Gis_core.Config.speculative)
+  within "full" 100. (allocated_mb Gis_core.Config.speculative)
 
 let () =
   Alcotest.run "gis_analysis"

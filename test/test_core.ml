@@ -440,6 +440,49 @@ let test_stores_not_speculated () =
        (fun (m : Global_sched.move) -> m.Global_sched.from_label <> "S")
        moves)
 
+(* ---- the cycle guard ---- *)
+
+(* A Float instruction on a machine without a float unit can never
+   issue, so both schedulers hit their cycle guard on its block. *)
+let test_no_progress () =
+  let g = Reg.Gen.create () in
+  let f0 = Reg.Gen.fresh g Reg.Fpr and f1 = Reg.Gen.fresh g Reg.Fpr in
+  let build () =
+    B.func ~reg_gen:g
+      [ ("A", [ B.fbinop Instr.Fadd ~dst:f0 ~lhs:f0 ~rhs:f1 ], Instr.Halt) ]
+  in
+  let no_float =
+    Machine.make ~name:"no-float" ~fixed_units:1 ~float_units:0 ~branch_units:1 ()
+  in
+  let expect pass f =
+    match f () with
+    | _ -> Alcotest.fail "scheduling a Float instruction with no float unit returned"
+    | exception (Sched_error.No_progress { pass = p; block; cycle } as e) ->
+        Alcotest.(check bool) "pass" true (p = pass);
+        Alcotest.(check string) "block" "A" block;
+        Alcotest.(check bool) "cycle past the guard" true (cycle > 100_000);
+        Alcotest.(check string) "printer"
+          (Fmt.str "%s: no progress in block A after %d cycles"
+             (if pass = Sched_error.Global then "Global_sched" else "Local_sched")
+             cycle)
+          (Printexc.to_string e)
+  in
+  expect Sched_error.Local (fun () ->
+      let cfg = build () in
+      Local_sched.schedule_block no_float (Cfg.block cfg (Cfg.entry cfg)));
+  expect Sched_error.Global (fun () ->
+      Global_sched.schedule no_float (sched_config Config.Useful) (build ()));
+  let module D = Gis_driver.Driver in
+  let task = { D.name = "no-float"; source = Asm (Asm.print (build ())) } in
+  let report = D.run ~simulate:false no_float Config.speculative [ task ] in
+  match (List.hd report.D.results).D.outcome with
+  | Error (D.Crashed m) ->
+      (* The driver's baseline compile runs only the local pass. *)
+      Alcotest.(check string) "driver message"
+        "Local_sched: no progress in block A after 100001 cycles" m
+  | Error e -> Alcotest.failf "expected a crash, got %a" D.pp_error e
+  | Ok _ -> Alcotest.fail "the driver task unexpectedly succeeded"
+
 let () =
   Alcotest.run "gis_core"
     [
@@ -468,4 +511,6 @@ let () =
         ] );
       ( "figures",
         [ Alcotest.test_case "cycle bands" `Quick test_levels_improve_minmax ] );
+      ( "guard",
+        [ Alcotest.test_case "no progress" `Quick test_no_progress ] );
     ]

@@ -353,6 +353,115 @@ let prop_liveness_consistent seed =
       Reg.Set.subset (Reg.Set.diff out defs) inn)
     (Cfg.layout cfg)
 
+(* A liveness refreshed in the blocks that changed equals one computed
+   afresh, on every block of the procedure. *)
+let liveness_refresh_exact cfg live =
+  let module L = Gis_analysis.Liveness in
+  let fresh = L.compute cfg in
+  List.for_all
+    (fun id ->
+      Reg.Set.equal (L.live_in live id) (L.live_in fresh id)
+      && Reg.Set.equal (L.live_out live id) (L.live_out fresh id))
+    (List.init (Cfg.num_blocks cfg) Fun.id)
+
+(* Random edits of the kinds the scheduler makes, refreshed in batches:
+   move a body instruction to the end of another block's body, rename a
+   register everywhere to a fresh one (interning it widens the vectors),
+   append a copy of a body instruction to a block. *)
+let liveness_refresh_after_edits params seed =
+  let cfg = (Random_prog.generate_compiled_with params ~seed).Codegen.cfg in
+  let rng = Random.State.make [| seed |] in
+  let live = Gis_analysis.Liveness.compute cfg in
+  let blocks = Array.of_list (Cfg.layout cfg) in
+  let any_block () = blocks.(Random.State.int rng (Array.length blocks)) in
+  let any_body_instr () =
+    let body id = Gis_util.Vec.to_list (Cfg.block cfg id).Block.body in
+    let all =
+      List.concat_map
+        (fun id -> List.map (fun i -> (id, i)) (body id))
+        (Array.to_list blocks)
+    in
+    match all with
+    | [] -> None
+    | _ -> Some (List.nth all (Random.State.int rng (List.length all)))
+  in
+  let edit () =
+    match any_body_instr () with
+    | None -> []
+    | Some (src, i) -> (
+        match Random.State.int rng 3 with
+        | 0 ->
+            let dst = any_block () in
+            ignore (Block.remove_by_uid (Cfg.block cfg src) ~uid:(Instr.uid i));
+            Gis_util.Vec.push (Cfg.block cfg dst).Block.body i;
+            [ src; dst ]
+        | 1 -> (
+            match Instr.defs i with
+            | [] -> []
+            | r :: _ ->
+                let r' = Cfg.fresh_reg cfg r.Reg.cls in
+                let swap x = if Reg.equal x r then r' else x in
+                List.filter
+                  (fun id ->
+                    let b = Cfg.block cfg id in
+                    let mentions i =
+                      List.exists (Reg.equal r) (Instr.defs i @ Instr.uses i)
+                    in
+                    let touched = List.exists mentions (Block.instrs b) in
+                    Gis_util.Vec.iteri
+                      (fun k i ->
+                        Gis_util.Vec.set b.Block.body k (Instr.map_regs ~f:swap i))
+                      b.Block.body;
+                    b.Block.term <- Instr.map_regs ~f:swap b.Block.term;
+                    touched)
+                  (Array.to_list blocks))
+        | _ ->
+            let dst = any_block () in
+            Gis_util.Vec.push (Cfg.block cfg dst).Block.body (Cfg.copy_instr cfg i);
+            [ dst ])
+  in
+  List.for_all
+    (fun _ ->
+      let touched =
+        List.concat (List.init (1 + Random.State.int rng 20) (fun _ -> edit ()))
+      in
+      Gis_analysis.Liveness.refresh live cfg touched;
+      liveness_refresh_exact cfg live)
+    (List.init 6 Fun.id)
+
+let prop_liveness_refresh_edits seed =
+  List.for_all
+    (fun params -> liveness_refresh_after_edits params seed)
+    [ Random_prog.default; Random_prog.hardened ]
+
+(* The scheduler's own motions as the edit: liveness of the input,
+   refreshed in every block whose instruction list a full-level
+   pipeline run changed (blocks that unrolling added included), equals
+   liveness of the output. *)
+let prop_liveness_refresh_scheduler seed =
+  List.for_all
+    (fun params ->
+      let input = (Random_prog.generate_compiled_with params ~seed).Codegen.cfg in
+      let live = Gis_analysis.Liveness.compute (Cfg.deep_copy input) in
+      let output = Cfg.deep_copy input in
+      ignore (Pipeline.run machine Config.speculative output);
+      let same i j =
+        Instr.uid i = Instr.uid j && Instr.equal_kind (Instr.kind i) (Instr.kind j)
+      in
+      let unchanged id =
+        id < Cfg.num_blocks input
+        &&
+        let a = Block.instrs (Cfg.block input id)
+        and b = Block.instrs (Cfg.block output id) in
+        List.length a = List.length b && List.for_all2 same a b
+      in
+      Gis_analysis.Liveness.refresh live output
+        (List.filter
+           (fun id -> not (unchanged id))
+           (List.init (Cfg.num_blocks output) Fun.id));
+      liveness_refresh_exact output live)
+    [ Random_prog.default; Random_prog.hardened ]
+
 (* The scheduler's address analysis and the checker's independent one
    must agree in precision: the same [delta] for every ordered pair of
    memory accesses, on a program as generated and again after a
@@ -568,5 +677,9 @@ let () =
           qtest "liveness consistent" 40 prop_liveness_consistent;
           qtest "reaching vs naive" 30 prop_reaching_vs_naive;
           qtest "minmax all levels" 30 prop_minmax_all_levels;
+          qtest "liveness refresh = recompute, random edits" 30
+            prop_liveness_refresh_edits;
+          qtest "liveness refresh = recompute, scheduler motions" 30
+            prop_liveness_refresh_scheduler;
         ] );
     ]
