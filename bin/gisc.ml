@@ -1254,4 +1254,11 @@ let cmd =
     (Cmd.info "gisc" ~version:"1.0.0" ~doc)
     [ explain_cmd; bound_cmd; check_cmd; profile_cmd; fuzz_cmd ]
 
-let () = exit (Cmd.eval cmd)
+(* Cmdliner's own parse and term errors are usage errors: exit with the
+   documented code, not cmdliner's 124. *)
+let () =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok () | `Version | `Help) -> Exit.ok
+    | Error (`Parse | `Term) -> Exit.usage_error
+    | Error `Exn -> Cmd.Exit.internal_error)

@@ -251,13 +251,35 @@ let block_chains machine cfg deps sites block_instrs =
 (* Static per-region Estart/Lstart over the dependence DAG.            *)
 (* ------------------------------------------------------------------ *)
 
+(* The dependences of each region — both endpoints in the region's own
+   blocks — in dependence-list order, bucketed in one pass over the
+   list. *)
+let region_buckets sites regions deps =
+  let owners = Hashtbl.create 64 in
+  let owners_of bid = Option.value ~default:[] (Hashtbl.find_opt owners bid) in
+  List.iteri
+    (fun k (r : Regions.region) ->
+      Gis_util.Ints.Int_set.iter
+        (fun bid -> Hashtbl.replace owners bid (k :: owners_of bid))
+        r.Regions.own_blocks)
+    regions;
+  let buckets = Array.make (List.length regions) [] in
+  List.iter
+    (fun (d : Deps.dep) ->
+      match
+        (Hashtbl.find_opt sites d.Deps.d_src, Hashtbl.find_opt sites d.Deps.d_dst)
+      with
+      | Some s, Some t ->
+          let dst_owners = owners_of t.s_block in
+          List.iter
+            (fun k -> if List.mem k dst_owners then buckets.(k) <- d :: buckets.(k))
+            (owners_of s.s_block)
+      | _ -> ())
+    deps;
+  Array.map List.rev buckets
+
 let region_static ~top_k machine cfg sites block_instrs deps
     (r : Regions.region) =
-  let in_region uid =
-    match Hashtbl.find_opt sites uid with
-    | Some s -> Gis_util.Ints.Int_set.mem s.s_block r.Regions.own_blocks
-    | None -> false
-  in
   let uids =
     Gis_util.Ints.Int_set.fold
       (fun bid acc ->
@@ -273,13 +295,11 @@ let region_static ~top_k machine cfg sites block_instrs deps
   let idx = Hashtbl.create 32 in
   Array.iteri (fun k uid -> Hashtbl.replace idx uid k) uid_arr;
   let edges =
-    List.filter_map
+    List.map
       (fun (d : Deps.dep) ->
-        if in_region d.Deps.d_src && in_region d.Deps.d_dst then
-          let src = (Hashtbl.find sites d.Deps.d_src).s_instr in
-          let dst = (Hashtbl.find sites d.Deps.d_dst).s_instr in
-          Some (d, static_weight machine d ~src ~dst)
-        else None)
+        let src = (Hashtbl.find sites d.Deps.d_src).s_instr in
+        let dst = (Hashtbl.find sites d.Deps.d_dst).s_instr in
+        (d, static_weight machine d ~src ~dst))
       deps
   in
   (* Kahn order over the region's dependence DAG (dependences respect
@@ -395,12 +415,13 @@ let compute ?(top_k = 5) ?(disambig = true) ~machine ~halted cfg
       ("unit_busy", Trace.unit_busy_total summary);
     ]
   in
-  let rstruct = Regions.compute cfg in
+  let region_list = Regions.regions (Regions.compute cfg) in
+  let buckets = region_buckets sites region_list deps in
   let regions =
-    List.map
-      (fun (r : Regions.region) ->
+    List.mapi
+      (fun k (r : Regions.region) ->
         let static_cp_lb, static_res_lb, instrs, binding =
-          region_static ~top_k machine cfg sites block_instrs deps r
+          region_static ~top_k machine cfg sites block_instrs buckets.(k) r
         in
         let blocks =
           Gis_util.Ints.Int_set.fold
@@ -439,7 +460,7 @@ let compute ?(top_k = 5) ?(disambig = true) ~machine ~halted cfg
           gap;
           credits = apportion gap weights;
         })
-      (Regions.regions rstruct)
+      region_list
   in
   let achieved = summary.Trace.last_issue in
   let cp_lb = List.fold_left (fun acc r -> acc + r.chain_lb) 0 regions in

@@ -226,8 +226,10 @@ let compute cfg =
 let base_value t uid =
   Option.value ~default:Any (Hashtbl.find_opt t.at_access uid)
 
-let delta t ~a ~b =
-  match base_value t a, base_value t b with
+let value_delta a b =
+  match a, b with
   | Num x, Num y -> Some (y - x)
   | Ref x, Ref y when x.def = y.def && x.reg = y.reg -> Some (y.add - x.add)
   | (Num _ | Ref _ | Any), (Num _ | Ref _ | Any) -> None
+
+let delta t ~a ~b = value_delta (base_value t a) (base_value t b)

@@ -41,6 +41,10 @@ val base_value : t -> int -> av
 (** Abstract base value of the access with uid [uid]; [Any] when the
     uid is not a recorded memory access. *)
 
+val value_delta : av -> av -> int option
+(** [value_delta va vb]: [Some d] when [vb] provably equals [va + d] —
+    both [Num], or both [Ref] of the same definition instance. *)
+
 val delta : t -> a:int -> b:int -> int option
 (** [Some d] when access [b]'s base provably equals access [a]'s base
     plus [d] on every joint execution — both [Num], or both [Ref] of

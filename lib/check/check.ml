@@ -174,6 +174,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
       let created = Ints.Int_set.diff post_uids pre_uids in
       let label_of_pre uid = Deps.block_label_of_uid ppre uid in
       let label_of_post uid = Deps.block_label_of_uid ppost uid in
+      let pre_instrs = lazy (Cfg.all_instrs pre) in
       (* Entry stability: no stage may change which block the procedure
          starts in. *)
       let entry_label c = (Cfg.block c (Cfg.entry c)).Block.label in
@@ -203,7 +204,7 @@ let run_stage ?prov ?(max_speculation_degree = 1) ~stage ~pre ~post () =
                     equal_kind_modulo_targets (Instr.kind j) k
                   else Instr.equal_kind (Instr.kind j) k
                 in
-                if not (List.exists matches (Cfg.all_instrs pre)) then
+                if not (List.exists matches (Lazy.force pre_instrs)) then
                   err ~rule:"transform.unfaithful-copy" ~uid ?blocks
                     "created instruction matches no instruction of the input \
                      program"

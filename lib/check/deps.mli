@@ -45,14 +45,10 @@ val uids : program -> Gis_util.Ints.Int_set.t
 (** Uids of every instruction in layout blocks (bodies + terminators). *)
 
 val instr : program -> int -> Instr.t option
-val block_id_of_uid : program -> int -> int option
-val block_label_of_uid : program -> int -> Label.t option
-val pos_of_uid : program -> int -> int option
-(** Position within the owning block; the terminator is last. *)
+(** The instruction with this uid, as it was when the program was
+    indexed; constant time. *)
 
-val block_reaches : program -> int -> int -> bool
-(** [block_reaches p a b]: block [b] is reachable from block [a] along
-    forward (back-edge-masked) CFG edges; reflexive. *)
+val block_label_of_uid : program -> int -> Label.t option
 
 val ordered : program -> src:int -> dst:int -> bool
 (** Is [src] guaranteed to execute before [dst] on every forward path
@@ -66,7 +62,10 @@ val reconstruct : program -> dep list
     with the same memory disambiguation as [Gis_ddg.Ddg] (memory
     families; same base register with the same scan version or single
     reaching definition, disjoint ranges; and, when [disambig] is on,
-    {!Addrcheck}'s affine base deltas). *)
+    {!Addrcheck}'s affine base deltas). Inter-block pairs are found
+    through per-block register and memory indexes, so the work follows
+    the number of candidate pairs, not the number of instruction pairs;
+    the list is the one an all-pairs scan in layout order builds. *)
 
 val still_conflicts : kind -> Instr.t -> Instr.t -> bool
 (** Re-validate a reconstructed dependence against the *transformed*

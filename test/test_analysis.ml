@@ -620,7 +620,12 @@ let test_symaddr_overclaim_hook () =
    tree-set reaching definitions allocated about 402 MB (BASE) and
    2,144 MB (full); recomputing tree-set liveness over the whole
    procedure after every motion still allocated about 283 MB (full),
-   against about 50 MB with liveness refreshed in the touched blocks. *)
+   against about 50 MB with liveness refreshed in the touched blocks.
+   The checker's dependence reconstruction ([Deps.of_cfg] then
+   [Deps.reconstruct]) of the full-level output has its own ceiling:
+   visiting every instruction pair of every reachable block pair
+   allocated about 250 MB there, against about 50 MB with candidates
+   found through per-block register and memory indexes. *)
 let test_allocation_budget () =
   let open Gis_workloads in
   let params = { Random_prog.hardened with Random_prog.body_len = 40 } in
@@ -630,18 +635,29 @@ let test_allocation_budget () =
   in
   let cfg = (Gis_frontend.Codegen.compile_string source).Gis_frontend.Codegen.cfg in
   Alcotest.(check int) "program size" 1175 (Cfg.instr_count cfg);
-  let allocated_mb config =
-    let cfg = Cfg.deep_copy cfg in
+  let allocated_mb f =
     let before = Gc.minor_words () in
-    ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config cfg);
+    f ();
     (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. 1e6
+  in
+  let compiled_mb config =
+    let cfg = Cfg.deep_copy cfg in
+    let mb =
+      allocated_mb (fun () ->
+          ignore (Gis_core.Pipeline.run Gis_machine.Machine.rs6k config cfg))
+    in
+    (cfg, mb)
   in
   let within what ceiling mb =
     if mb > ceiling then
-      Alcotest.failf "%s compile allocated %.1f MB, budget %.0f MB" what mb ceiling
+      Alcotest.failf "%s allocated %.1f MB, budget %.0f MB" what mb ceiling
   in
-  within "BASE" 40. (allocated_mb Gis_core.Config.base);
-  within "full" 100. (allocated_mb Gis_core.Config.speculative)
+  within "BASE compile" 40. (snd (compiled_mb Gis_core.Config.base));
+  let full, mb = compiled_mb Gis_core.Config.speculative in
+  within "full compile" 100. mb;
+  within "dependence reconstruction of the full-level output" 120.
+    (allocated_mb (fun () ->
+         ignore Gis_check.Deps.(reconstruct (of_cfg full))))
 
 let () =
   Alcotest.run "gis_analysis"

@@ -508,6 +508,31 @@ let test_address_analyses_agree_on_proxies () =
         (input_and_scheduled (Spec_proxy.compile p).Codegen.cfg))
     Spec_proxy.all
 
+(* The checker's indexed dependence reconstruction against the
+   all-pairs scan it replaced (Deps_oracle): the same dependences in the
+   same order, with disambiguation on and off. *)
+let reconstruct_matches_oracle cfg =
+  List.for_all
+    (fun disambig ->
+      Gis_check.Deps.reconstruct (Gis_check.Deps.of_cfg ~disambig cfg)
+      = Deps_oracle.reconstruct ~disambig cfg)
+    [ true; false ]
+
+let prop_reconstruct_oracle seed =
+  List.for_all
+    (fun params ->
+      let c = Random_prog.generate_compiled_with params ~seed in
+      List.for_all reconstruct_matches_oracle (input_and_scheduled c.Codegen.cfg))
+    [ Random_prog.default; Random_prog.hardened ]
+
+let test_reconstruct_oracle_on_workloads () =
+  List.iter
+    (fun (name, (cfg, _)) ->
+      List.iter
+        (fun cfg -> Alcotest.(check bool) name true (reconstruct_matches_oracle cfg))
+        (input_and_scheduled cfg))
+    (Test_support.standard_programs ())
+
 (* Reaching definitions against a path-walking reference: the sites
    reaching a use are the nearest definitions of its register on every
    backward path through laid-out blocks, plus [External] when some
@@ -658,6 +683,12 @@ let () =
             prop_address_analyses_agree;
           Alcotest.test_case "analyses agree on the SPEC proxies" `Quick
             test_address_analyses_agree_on_proxies;
+        ] );
+      ( "dependence reconstruction",
+        [
+          qtest "Deps.reconstruct = all-pairs oracle" 40 prop_reconstruct_oracle;
+          Alcotest.test_case "oracle on minmax and the SPEC proxies" `Quick
+            test_reconstruct_oracle_on_workloads;
         ] );
       ( "transforms preserve observables",
         [
