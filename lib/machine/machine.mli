@@ -30,7 +30,8 @@ val with_regs : ?gprs:int -> ?fprs:int -> ?crs:int -> t -> t
     shrunk to exercise condition-register pressure too. *)
 
 val exec_time : t -> Gis_ir.Instr.t -> int
-(** Cycles the instruction occupies its unit; >= 1. *)
+(** Cycles the instruction occupies its unit; >= 1. Pure, like
+    {!delay} and {!mem_delay} (see {!make}). *)
 
 val delay : t -> producer:Gis_ir.Instr.t -> consumer:Gis_ir.Instr.t -> reg:Gis_ir.Reg.t -> int
 (** Delay carried by the dependence edge from [producer] to [consumer]
@@ -59,7 +60,14 @@ val make :
   unit ->
   t
 (** Build a custom machine. Defaults: RS/6000 execution times and the
-    four delay rules of Section 2.1. *)
+    four delay rules of Section 2.1.
+
+    [exec_time], [delay] and [mem_delay] must be pure functions of their
+    arguments: no state, no dependence on how often or in which order
+    they are called. The simulator evaluates [exec_time] once per static
+    instruction when it decodes a program, and the schedulers, the bound
+    and the simulator each call [delay] and [mem_delay] as often as
+    their own algorithms need. *)
 
 val rs6k : t
 (** The RS/6000 model of Section 2.1: one fixed-point, one floating

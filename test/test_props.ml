@@ -533,6 +533,156 @@ let test_reconstruct_oracle_on_workloads () =
         (input_and_scheduled cfg))
     (Test_support.standard_programs ())
 
+(* The pre-decoded simulator against the hash-table interpreter it
+   replaced (Sim_oracle): every outcome field (spill memories, block
+   counts, the whole telemetry with its trace events) and the final
+   value of every register, over a machine matrix, tracing on and off,
+   register-allocated code run through its frame, and fuel cut-offs. *)
+let sim_machines =
+  [
+    Machine.rs6k;
+    Machine.rs6k_detailed;
+    Machine.superscalar ~width:4;
+    Machine.make ~name:"lopsided-4/1/1" ~fixed_units:4 ~float_units:1
+      ~branch_units:1 ();
+    Machine.zero_delay_single_issue;
+  ]
+
+let outcome_fields (o : Simulator.outcome) =
+  ( ( o.Simulator.stop,
+      o.Simulator.cycles,
+      o.Simulator.instructions,
+      o.Simulator.output ),
+    ( o.Simulator.final_memory,
+      o.Simulator.final_float_memory,
+      o.Simulator.final_spill_memory,
+      o.Simulator.final_spill_float_memory ),
+    o.Simulator.block_counts,
+    o.Simulator.telemetry )
+
+let sim_matches ?fuel ?(trace = false) ?frame m cfg (input : Simulator.input) =
+  let got = Simulator.run ?fuel ~trace ?frame m cfg input in
+  let want = Sim_oracle.run ?fuel ~trace ?frame m cfg input in
+  let regs =
+    List.concat_map (fun i -> Instr.uses i @ Instr.defs i) (Cfg.all_instrs cfg)
+    @ List.map fst input.Simulator.int_regs
+    @ List.map fst input.Simulator.float_regs
+    @ Option.to_list frame
+  in
+  compare (outcome_fields got) (outcome_fields want) = 0
+  && List.for_all (fun r -> got.Simulator.read_int r = want.Simulator.read_int r) regs
+
+(* Every machine with tracing off and on; fuel cut at 0, at 1 and
+   mid-run; and the register-allocated code (6 GPRs) through its
+   frame. *)
+let sim_matches_everywhere cfg input =
+  List.for_all
+    (fun m ->
+      List.for_all (fun trace -> sim_matches ~trace m cfg input) [ false; true ])
+    sim_machines
+  && (let full = Simulator.run machine cfg input in
+      List.for_all
+        (fun fuel -> sim_matches ~fuel ~trace:true machine cfg input)
+        [ 0; 1; full.Simulator.instructions / 2 ])
+  &&
+  let allocated = Cfg.deep_copy cfg in
+  match Gis_regalloc.Regalloc.allocate ~gprs:6 machine allocated with
+  | Error _ -> true
+  | Ok t ->
+      let input = Gis_regalloc.Regalloc.remap_input t input in
+      List.for_all
+        (fun trace ->
+          sim_matches ~trace ?frame:t.Gis_regalloc.Regalloc.frame
+            Machine.rs6k_detailed allocated input)
+        [ false; true ]
+
+let base_and_full cfg =
+  List.map
+    (fun config ->
+      let c = Cfg.deep_copy cfg in
+      ignore (Pipeline.run machine config c);
+      c)
+    [ Config.base; Config.speculative ]
+
+let prop_sim_oracle seed =
+  List.for_all
+    (fun params ->
+      let c = Random_prog.generate_compiled_with params ~seed in
+      let input = Random_prog.random_input ~seed c in
+      List.for_all
+        (fun cfg -> sim_matches_everywhere cfg input)
+        (base_and_full c.Codegen.cfg))
+    [ Random_prog.default; Random_prog.hardened ]
+
+let test_sim_oracle_on_workloads () =
+  List.iter
+    (fun (name, (cfg, input)) ->
+      List.iter
+        (fun cfg ->
+          Alcotest.(check bool) name true (sim_matches_everywhere cfg input))
+        (cfg :: base_and_full cfg))
+    (Test_support.standard_programs ());
+  let t = Minmax.build () in
+  let input = Minmax.input t Test_support.minmax_elements in
+  let header = t.Minmax.loop_header in
+  List.iter
+    (fun cfg ->
+      List.iter
+        (fun m ->
+          Alcotest.(check (float 0.))
+            ("minmax cycles per iteration on " ^ Machine.name m)
+            (Sim_oracle.cycles_per_iteration m cfg ~header input)
+            (Simulator.cycles_per_iteration m cfg ~header input))
+        sim_machines)
+    (t.Minmax.cfg :: base_and_full t.Minmax.cfg)
+
+(* The frame register selects the spill segment by identity: a program
+   base register holding the frame's value (both 0 here) must still
+   reach program memory, and both segments hold a word and a double at
+   the same addresses. *)
+let test_sim_oracle_frame_identity () =
+  let g = Reg.Gen.create () in
+  let frame = Reg.Gen.fresh g Reg.Gpr in
+  let base = Reg.Gen.fresh g Reg.Gpr in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let y = Reg.Gen.fresh g Reg.Gpr in
+  let f = Reg.Gen.fresh g Reg.Fpr in
+  let h = Reg.Gen.fresh g Reg.Fpr in
+  let cfg =
+    Builder.func ~reg_gen:g
+      [
+        ( "A",
+          Builder.
+            [
+              li ~dst:base 0;
+              li ~dst:x 7;
+              store ~src:x ~base ~offset:0;
+              store ~src:f ~base ~offset:8;
+              li ~dst:x 9;
+              store ~src:x ~base:frame ~offset:0;
+              store ~src:h ~base:frame ~offset:8;
+              load ~dst:y ~base ~offset:0;
+              load ~dst:h ~base ~offset:8;
+              call "print_int" [ y; h ];
+              load ~dst:y ~base:frame ~offset:0;
+              load ~dst:h ~base:frame ~offset:8;
+              call "print_int" [ y; h ];
+            ],
+          Instr.Halt );
+      ]
+  in
+  let input =
+    { Simulator.no_input with Simulator.float_regs = [ (f, 1.5); (h, 2.5) ] }
+  in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun trace ->
+          Alcotest.(check bool) (Machine.name m) true
+            (sim_matches ~trace ~frame m cfg input))
+        [ false; true ])
+    sim_machines
+
 (* Reaching definitions against a path-walking reference: the sites
    reaching a use are the nearest definitions of its register on every
    backward path through laid-out blocks, plus [External] when some
@@ -689,6 +839,14 @@ let () =
           qtest "Deps.reconstruct = all-pairs oracle" 40 prop_reconstruct_oracle;
           Alcotest.test_case "oracle on minmax and the SPEC proxies" `Quick
             test_reconstruct_oracle_on_workloads;
+        ] );
+      ( "simulator = oracle",
+        [
+          qtest "random programs, base and full" 15 prop_sim_oracle;
+          Alcotest.test_case "minmax and the SPEC proxies" `Quick
+            test_sim_oracle_on_workloads;
+          Alcotest.test_case "frame routes by register identity" `Quick
+            test_sim_oracle_frame_identity;
         ] );
       ( "transforms preserve observables",
         [

@@ -360,6 +360,134 @@ let test_observables_stable () =
     [ Fmt.str "print_int(%d)" min_v; Fmt.str "print_int(%d)" max_v ]
     a.Simulator.output
 
+(* Failures are lazy. A branch arm naming no block fails only when the
+   branch goes there; a trap mid-block keeps the timing and telemetry
+   of what issued before it; fuel that runs out at a terminator stops
+   the run as [Out_of_fuel]. *)
+let test_missing_label_only_when_taken () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Cr in
+  let cfg sel =
+    B.func ~reg_gen:g
+      [
+        ("A", [ B.li ~dst:x sel; B.cmpi ~dst:c ~lhs:x 5 ],
+         B.bt ~cr:c ~cond:Instr.Lt ~taken:"NOWHERE" ~fallthru:"B");
+        ("B", [ B.call "print_int" [ x ] ], Instr.Halt);
+        ("C", [], B.jmp "GONE");
+      ]
+  in
+  let o = run (cfg 7) in
+  Alcotest.(check bool) "untaken arm: halted" true (o.Simulator.stop = Simulator.Halted);
+  Alcotest.(check (list string)) "untaken arm: output" [ "print_int(7)" ]
+    o.Simulator.output;
+  match run (cfg 3) with
+  | exception Invalid_argument m ->
+      Alcotest.(check string) "taken arm: Cfg.block_of_label"
+        "Cfg.block_of_label: unknown label NOWHERE" m
+  | _ -> Alcotest.fail "taken arm to a missing label must raise"
+
+let same_as_oracle ?fuel what m cfg =
+  let o = Simulator.run ?fuel ~trace:true m cfg Simulator.no_input in
+  let r = Sim_oracle.run ?fuel ~trace:true m cfg Simulator.no_input in
+  Alcotest.(check int) (what ^ ": cycles") r.Simulator.cycles o.Simulator.cycles;
+  Alcotest.(check int) (what ^ ": instructions") r.Simulator.instructions
+    o.Simulator.instructions;
+  Alcotest.(check bool) (what ^ ": telemetry") true
+    (compare o.Simulator.telemetry r.Simulator.telemetry = 0);
+  Alcotest.(check bool) (what ^ ": block counts") true
+    (o.Simulator.block_counts = r.Simulator.block_counts);
+  o
+
+let test_trap_mid_block () =
+  let g = Reg.Gen.create () in
+  let a = Reg.Gen.fresh g Reg.Gpr in
+  let b = Reg.Gen.fresh g Reg.Gpr in
+  let c = Reg.Gen.fresh g Reg.Gpr in
+  let cfg =
+    B.func ~reg_gen:g
+      [
+        ( "A",
+          [
+            B.li ~dst:a 10;
+            B.li ~dst:b 0;
+            B.mul ~dst:c ~lhs:a ~rhs:a;
+            B.binop Instr.Div ~dst:c ~lhs:c ~rhs:(Instr.Reg b);
+            B.call "print_int" [ c ];
+          ],
+          Instr.Halt );
+      ]
+  in
+  List.iter
+    (fun m ->
+      let o = same_as_oracle ("trap on " ^ Machine.name m) m cfg in
+      Alcotest.(check bool) "trapped" true
+        (o.Simulator.stop = Simulator.Trap "division by zero");
+      Alcotest.(check int) "the dividing instruction issued" 4
+        o.Simulator.instructions;
+      Alcotest.(check (list string)) "nothing printed" [] o.Simulator.output)
+    [ Machine.rs6k; Machine.superscalar ~width:4 ]
+
+let test_fuel_at_terminator () =
+  let g = Reg.Gen.create () in
+  let x = Reg.Gen.fresh g Reg.Gpr in
+  let cfg = B.func ~reg_gen:g [ ("A", [ B.li ~dst:x 1; B.addi ~dst:x ~lhs:x 1 ], B.jmp "A") ] in
+  List.iter
+    (fun fuel ->
+      let o = same_as_oracle (Fmt.str "fuel %d" fuel) machine ~fuel cfg in
+      Alcotest.(check bool) "out of fuel" true (o.Simulator.stop = Simulator.Out_of_fuel);
+      Alcotest.(check int) "stopped before the terminator" fuel o.Simulator.instructions)
+    [ 2; 5 ]
+
+(* Allocation ceiling for one simulation of each full-level SPEC proxy
+   and of minmax on 256 elements (the benchmark's programs and inputs).
+   Decoding is per static instruction and a dynamic instruction
+   allocates nothing outside the memory tables, call rendering and
+   trace events: 48,595 dynamic instructions allocate ~1.4 MB. The
+   hash-table interpreter this replaced allocated ~660 bytes per dynamic
+   instruction, 32.3 MB here. *)
+let test_allocation_budget () =
+  let open Gis_workloads in
+  let full cfg =
+    ignore (Gis_core.Pipeline.run machine Gis_core.Config.speculative cfg);
+    cfg
+  in
+  let minmax =
+    let c = Gis_frontend.Codegen.compile_string Minmax.source in
+    let rng = Prng.create ~seed:1000 in
+    let elements = List.init 256 (fun _ -> Prng.int rng 2000 - 1000) in
+    ( full c.Gis_frontend.Codegen.cfg,
+      {
+        Simulator.no_input with
+        Simulator.int_regs =
+          [ (Gis_frontend.Codegen.var_reg c "n", List.length elements) ];
+        memory = Gis_frontend.Codegen.array_input c [ ("a", elements) ];
+      } )
+  in
+  let programs =
+    minmax
+    :: List.map
+         (fun (p : Spec_proxy.t) ->
+           let c = Spec_proxy.compile p in
+           (full c.Gis_frontend.Codegen.cfg, p.Spec_proxy.setup c))
+         Spec_proxy.all
+  in
+  let before = Gc.minor_words () in
+  let instructions =
+    List.fold_left
+      (fun n (cfg, input) ->
+        let o = Simulator.run machine cfg input in
+        Alcotest.(check bool) "halted" true (o.Simulator.stop = Simulator.Halted);
+        n + o.Simulator.instructions)
+      0 programs
+  in
+  let mb =
+    (Gc.minor_words () -. before) *. float_of_int (Sys.word_size / 8) /. 1e6
+  in
+  if mb > 4. then
+    Alcotest.failf "simulation allocated %.1f MB over %d instructions, budget 4 MB" mb
+      instructions
+
 let () =
   Alcotest.run "gis_sim"
     [
@@ -389,4 +517,13 @@ let () =
           Alcotest.test_case "cycles-per-iteration errors" `Quick
             test_cycles_per_iteration_errors;
         ] );
+      ( "failures",
+        [
+          Alcotest.test_case "missing label only when taken" `Quick
+            test_missing_label_only_when_taken;
+          Alcotest.test_case "trap mid-block" `Quick test_trap_mid_block;
+          Alcotest.test_case "fuel at a terminator" `Quick test_fuel_at_terminator;
+        ] );
+      ( "budget",
+        [ Alcotest.test_case "allocation" `Quick test_allocation_budget ] );
     ]
